@@ -4,49 +4,27 @@ Solves max c^T X w over injective slot assignments (relaxed to their convex
 hull) subject to b1 <= a^T X w <= b2, via dual bisection with exact kink
 tracing and candidate screening. Ships ground-truth oracles, a seeded
 instance generator and a benchmark harness.
+
+The package root holds what a caller of solve() needs; internals and
+oracles are reached by their submodule path (divrank.dual, divrank.oracle).
 """
-from .datagen import (GenConfig, RegenExhaustedError, ZeroScoresError,
-                      gen_synthetic, noise_replicate, seed_key)
-from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
-                   kink_left, kink_right, kink_tie_tol, trace_kinks)
+from .datagen import GenConfig, gen_synthetic
 from .model import (STATUS_INFEASIBLE, STATUS_LOWER_ACTIVE,
                     STATUS_UNCONSTRAINED, STATUS_UPPER_ACTIVE,
                     ExtremeAssignment, Instance, PrimalMixture, Solution,
                     SolveStats, ValidationError, default_weights,
                     instance_to_dict, load_instance, parse_instance,
                     save_instance, solution_to_dict, validate_instance)
-from .oracle import (BruteForceResult, OracleDualResult, SizeCapError,
-                     UnboundedDualError, brute_force_tiny,
-                     oracle_dual_breakpoints, oracle_kink_set, oracle_support)
-from .rank import (MAX_DIVERSITY, MIN_DIVERSITY, SortedScores, TopSet,
-                   UnconstrainedResult, extremal_diversity, sort_scores,
-                   solve_unconstrained, top_n_with_ties,
-                   unconstrained_extremes)
-from .solver import (BisectionResult, BracketOnlyError, DualSearchState,
-                     FeasibilityReport, InfeasibleError, Reduction,
-                     SolveOptions, precheck_feasibility, recover_primal,
-                     reduce_two_sided, screen_candidates, solve,
-                     solve_dual_bisection)
+from .solver import InfeasibleError, SolveOptions, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet", "BisectionResult", "BracketOnlyError", "BruteForceResult",
-    "DualEvaluation", "DualSearchState", "ExtremeAssignment",
-    "FeasibilityReport", "GenConfig", "Instance", "InfeasibleError",
-    "MAX_DIVERSITY", "MIN_DIVERSITY", "OneSidedInstance", "OracleDualResult",
-    "PrimalMixture", "Reduction", "RegenExhaustedError", "SizeCapError",
-    "Solution", "SolveOptions", "SolveStats", "SortedScores",
+    "ExtremeAssignment", "GenConfig", "Instance", "InfeasibleError",
+    "PrimalMixture", "Solution", "SolveOptions", "SolveStats",
     "STATUS_INFEASIBLE", "STATUS_LOWER_ACTIVE", "STATUS_UNCONSTRAINED",
-    "STATUS_UPPER_ACTIVE", "TopSet", "UnboundedDualError",
-    "UnconstrainedResult", "ValidationError", "ZeroScoresError",
-    "brute_force_tiny", "default_weights", "eval_dual", "extremal_diversity",
-    "gen_synthetic", "instance_to_dict", "kink_left", "kink_right",
-    "kink_tie_tol", "load_instance", "noise_replicate",
-    "oracle_dual_breakpoints", "oracle_kink_set", "oracle_support",
-    "parse_instance", "precheck_feasibility", "recover_primal",
-    "reduce_two_sided", "save_instance", "screen_candidates", "seed_key",
-    "solution_to_dict", "solve", "solve_dual_bisection", "solve_unconstrained",
-    "sort_scores", "top_n_with_ties", "trace_kinks", "unconstrained_extremes",
-    "validate_instance", "__version__",
+    "STATUS_UPPER_ACTIVE", "ValidationError", "default_weights",
+    "gen_synthetic", "instance_to_dict", "load_instance", "parse_instance",
+    "save_instance", "solution_to_dict", "solve", "validate_instance",
+    "__version__",
 ]

@@ -67,6 +67,14 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
+        opts = SolveOptions(screening=not args.no_screening,
+                            big_delta=args.big_delta,
+                            small_delta=args.delta)
+    except ValueError as exc:
+        print(json.dumps({"status": "Invalid", "errors": ["Options"],
+                          "messages": [str(exc)]}), file=sys.stderr)
+        return EXIT_INVALID
+    try:
         inst = load_instance(args.input)
     except ValidationError as exc:
         print(json.dumps({"status": "Invalid", "errors": exc.errors,
@@ -76,9 +84,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps({"status": "Invalid", "errors": ["IO"],
                           "messages": [str(exc)]}), file=sys.stderr)
         return EXIT_INVALID
-    opts = SolveOptions(screening=not args.no_screening,
-                        big_delta=args.big_delta,
-                        small_delta=args.delta)
     try:
         sol = solve(inst, opts)
     except InfeasibleError as exc:

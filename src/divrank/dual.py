@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExtremeAssignment
 from .rank import (MAX_DIVERSITY, MIN_DIVERSITY, SortedScores, TopSet,
                    extremal_diversity, sort_scores, top_n_with_ties)
 
@@ -67,7 +66,7 @@ class ActiveSet:
 @dataclass(frozen=True)
 class DualEvaluation:
     """g and its one-sided derivatives at a point, with the extreme-diversity
-    maximizing assignments (original candidate indices)."""
+    maximizing assignments as slot arrays of original candidate indices."""
 
     lam: float
     g: float
@@ -78,8 +77,8 @@ class DualEvaluation:
     topset: TopSet
     min_div: float
     max_div: float
-    x_min_div: ExtremeAssignment
-    x_max_div: ExtremeAssignment
+    slots_min: np.ndarray
+    slots_max: np.ndarray
     tau: float
 
 
@@ -104,14 +103,13 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, active.a, inst.w, MIN_DIVERSITY)
     max_div, slots_max = extremal_diversity(ss, ts, active.a, inst.w, MAX_DIVERSITY)
-    x_min = ExtremeAssignment(tuple(int(i) for i in active.indices[slots_min]))
-    x_max = ExtremeAssignment(tuple(int(i) for i in active.indices[slots_max]))
     return DualEvaluation(
         lam=float(lam), g=g,
         g_minus=inst.b2 - max_div, g_plus=inst.b2 - min_div,
         z=z, sorted=ss, topset=ts,
         min_div=min_div, max_div=max_div,
-        x_min_div=x_min, x_max_div=x_max, tau=float(tau),
+        slots_min=active.indices[slots_min], slots_max=active.indices[slots_max],
+        tau=float(tau),
     )
 
 

@@ -210,8 +210,10 @@ class SolveStats:
     wall_time_us: float = 0.0
     exact: bool = True
     duality_gap: float = 0.0
-    # Original indices removed by screening; kept out of the JSON payload.
-    dropped_indices: tuple[int, ...] = field(default_factory=tuple)
+    # Original indices removed by screening, as an int array; kept out of the
+    # JSON payload.
+    dropped_indices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.intp))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExtremeAssignment, Instance
+from .model import Instance
 
 MIN_DIVERSITY = "min"
 MAX_DIVERSITY = "max"
@@ -134,11 +134,14 @@ def extremal_diversity(ss: SortedScores, ts: TopSet, a: np.ndarray,
 
 @dataclass(frozen=True)
 class UnconstrainedResult:
+    """slots_min/slots_max: candidate per slot of the tied optima with the
+    smallest and the largest diversity."""
+
     value: float
     min_div: float
     max_div: float
-    x_min: ExtremeAssignment
-    x_max: ExtremeAssignment
+    slots_min: np.ndarray
+    slots_max: np.ndarray
 
 
 def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray) -> UnconstrainedResult:
@@ -150,11 +153,8 @@ def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray) -> Uncon
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
     max_div, slots_max = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
-    return UnconstrainedResult(
-        value=value, min_div=min_div, max_div=max_div,
-        x_min=ExtremeAssignment(tuple(int(i) for i in slots_min)),
-        x_max=ExtremeAssignment(tuple(int(i) for i in slots_max)),
-    )
+    return UnconstrainedResult(value=value, min_div=min_div, max_div=max_div,
+                               slots_min=slots_min, slots_max=slots_max)
 
 
 def solve_unconstrained(inst: Instance) -> UnconstrainedResult:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -63,9 +63,10 @@ class SolveOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.small_delta < 0.0:
-            raise ValueError("small_delta must be >= 0")
-        if self.big_delta is not None and self.big_delta <= self.small_delta:
+        # Comparisons written so that NaN fails them.
+        if not 0.0 <= self.small_delta < np.inf:
+            raise ValueError("small_delta must be finite and >= 0")
+        if self.big_delta is not None and not self.big_delta > self.small_delta:
             raise ValueError("big_delta must exceed small_delta")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -84,11 +85,6 @@ class DualSearchState:
     dropped: list[np.ndarray] = field(default_factory=list)
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
     top_candidates: Optional[np.ndarray] = None
-
-    def dropped_indices(self) -> np.ndarray:
-        if not self.dropped:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(self.dropped)
 
 
 @dataclass(frozen=True)
@@ -118,6 +114,24 @@ def precheck_feasibility(inst: Instance) -> FeasibilityReport:
     return FeasibilityReport(feasible=feasible, div_min=div_min, div_max=div_max)
 
 
+def _mix_extremes(c: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+                 d1: float, d2: float, target: float) -> PrimalMixture:
+    """Mixture rho * s1 + (1 - rho) * s2 of two slot arrays with diversities
+    d1 <= d2, rho clamped to [0, 1] so the diversity meets target where the
+    pair can reach it. Equal objectives are reported as they are, not
+    re-rounded through the mix."""
+    if d2 - d1 <= 0.0:
+        rho = 1.0
+    else:
+        rho = float(min(1.0, max(0.0, (target - d2) / (d1 - d2))))
+    obj1 = float(np.dot(w, c[s1]))
+    obj2 = float(np.dot(w, c[s2]))
+    objective = obj1 if obj1 == obj2 else rho * obj1 + (1.0 - rho) * obj2
+    return PrimalMixture(x1=ExtremeAssignment(tuple(s1.tolist())),
+                         x2=ExtremeAssignment(tuple(s2.tolist())), rho=rho,
+                         objective=objective, diversity=rho * d1 + (1.0 - rho) * d2)
+
+
 def reduce_two_sided(inst: Instance) -> Reduction:
     """Decide which bound (if any) the optimum presses against.
 
@@ -136,15 +150,13 @@ def reduce_two_sided(inst: Instance) -> Reduction:
         return Reduction(kind=REDUCE_LOWER_AS_UPPER,
                          one_sided=OneSidedInstance(inst.c, -inst.a, inst.w, -inst.b1))
     if un.min_div >= inst.b1:
-        mixture = PrimalMixture(x1=un.x_min, x2=un.x_min, rho=1.0,
-                                objective=un.value, diversity=un.min_div)
+        mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_min,
+                               un.min_div, un.min_div, un.min_div)
         return Reduction(kind=REDUCE_ALREADY_OPTIMAL, mixture=mixture,
                          status=STATUS_UNCONSTRAINED)
     # min_div < b1 <= max_div: clamp the mixture to the lower bound.
-    rho = (inst.b1 - un.max_div) / (un.min_div - un.max_div)
-    rho = float(min(1.0, max(0.0, rho)))
-    mixture = PrimalMixture(x1=un.x_min, x2=un.x_max, rho=rho,
-                            objective=un.value, diversity=inst.b1)
+    mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_max,
+                           un.min_div, un.max_div, inst.b1)
     return Reduction(kind=REDUCE_ALREADY_OPTIMAL, mixture=mixture,
                      status=STATUS_LOWER_ACTIVE)
 
@@ -276,21 +288,8 @@ def recover_primal(lambda_star: Optional[float],
     objective equals g(lambda*) and strong duality is exact."""
     if lambda_star is None or evaluation is None:
         raise BracketOnlyError("no exact lambda*; only a bracket is available")
-    x1 = evaluation.x_min_div
-    x2 = evaluation.x_max_div
-    d1 = evaluation.min_div
-    d2 = evaluation.max_div
-    if d2 - d1 <= 0.0:
-        rho = 1.0
-    else:
-        rho = (inst.b2 - d2) / (d1 - d2)
-        rho = float(min(1.0, max(0.0, rho)))
-    obj1 = x1.objective(inst.c, inst.w)
-    obj2 = x2.objective(inst.c, inst.w)
-    objective = rho * obj1 + (1.0 - rho) * obj2
-    diversity = rho * d1 + (1.0 - rho) * d2
-    return PrimalMixture(x1=x1, x2=x2, rho=rho,
-                         objective=objective, diversity=diversity)
+    return _mix_extremes(inst.c, inst.w, evaluation.slots_min, evaluation.slots_max,
+                        evaluation.min_div, evaluation.max_div, inst.b2)
 
 
 def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
@@ -302,48 +301,25 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
     lam_hat = hi if np.isfinite(hi) else lo
     z = result.state.active.c - lam_hat * result.state.active.a
     ev = eval_dual(inst, lam_hat, result.state.active, tau=kink_tie_tol(z))
-    d1, d2 = ev.min_div, ev.max_div
-    if max(b1, d1) <= min(inst.b2, d2):
-        # The maximizing face at lam_hat reaches the feasible band; among
-        # feasible mixtures of its extremes, the largest diversity carries
-        # the best original objective (they tie on (c - lam a)' X w).
-        x1, x2 = ev.x_min_div, ev.x_max_div
-        target = min(inst.b2, d2)
-    else:
+    s1, s2, d1, d2 = ev.slots_min, ev.slots_max, ev.min_div, ev.max_div
+    # When the maximizing face at lam_hat reaches the feasible band, the
+    # largest feasible diversity among mixtures of its extremes carries the
+    # best original objective (they tie on (c - lam a)' X w).
+    if max(b1, d1) > min(inst.b2, d2):
         # Give up on near-optimality: mix the global diversity extremes,
         # which the precheck guarantees straddle the feasible band.
         order = np.argsort(inst.a, kind="stable")
-        x1 = ExtremeAssignment(tuple(int(i) for i in order[:inst.n]))
-        x2 = ExtremeAssignment(tuple(int(i) for i in order[::-1][:inst.n]))
-        d1 = x1.diversity(inst.a, inst.w)
-        d2 = x2.diversity(inst.a, inst.w)
-        target = min(inst.b2, d2)
-    if d2 - d1 <= 0.0:
-        rho = 1.0
-    else:
-        rho = float(min(1.0, max(0.0, (target - d2) / (d1 - d2))))
-    obj = rho * x1.objective(inst.c, inst.w) \
-        + (1.0 - rho) * x2.objective(inst.c, inst.w)
-    div = rho * d1 + (1.0 - rho) * d2
-    gap = max(0.0, ev.g - obj)
-    mixture = PrimalMixture(x1=x1, x2=x2, rho=rho, objective=obj, diversity=div)
-    return mixture, gap, lam_hat
-
-
-def _remap_mixture(mix: PrimalMixture, inst: Instance) -> PrimalMixture:
-    """Recompute objective/diversity in the original sign convention."""
-    rho = mix.rho
-    obj = rho * mix.x1.objective(inst.c, inst.w) \
-        + (1.0 - rho) * mix.x2.objective(inst.c, inst.w)
-    div = rho * mix.x1.diversity(inst.a, inst.w) \
-        + (1.0 - rho) * mix.x2.diversity(inst.a, inst.w)
-    return PrimalMixture(x1=mix.x1, x2=mix.x2, rho=rho,
-                         objective=obj, diversity=div)
+        s1, s2 = order[:inst.n], order[::-1][:inst.n]
+        d1 = float(np.dot(inst.w, inst.a[s1]))
+        d2 = float(np.dot(inst.w, inst.a[s2]))
+    mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
+    return mixture, max(0.0, ev.g - mixture.objective), lam_hat
 
 
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     """Full pipeline. Raises InfeasibleError when no assignment satisfies
-    the diversity bounds. Wall time covers solving only, not JSON I/O."""
+    the diversity bounds. Wall time covers the whole call but for wrapping
+    the result in its Solution record, not JSON I/O."""
     t0 = time.perf_counter_ns()
     opts = opts or SolveOptions()
     pre = precheck_feasibility(inst)
@@ -353,34 +329,38 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre)
     red = reduce_two_sided(inst)
     if red.kind == REDUCE_ALREADY_OPTIMAL:
-        stats = SolveStats(wall_time_us=(time.perf_counter_ns() - t0) / 1e3)
+        stats = SolveStats()
+        stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
         return Solution(status=red.status, lambda_star=0.0,
                         mixture=red.mixture, stats=stats)
 
     one = red.one_sided
     result = solve_dual_bisection(one, opts)
     if result.lambda_star is not None:
-        mix_reduced = recover_primal(result.lambda_star, result.evaluation, one)
+        mixture = recover_primal(result.lambda_star, result.evaluation, one)
         lambda_star = result.lambda_star
         exact = True
         gap = 0.0
     else:
         b1_red = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
-        mix_reduced, gap, lambda_star = _bracket_fallback(one, result, b1_red)
+        mixture, gap, lambda_star = _bracket_fallback(one, result, b1_red)
         exact = False
         log.warning("bisection ended with bracket %s; returning endpoint "
                     "assignment with duality gap <= %.3g", result.bracket, gap)
-    mixture = _remap_mixture(mix_reduced, inst)
-    status = STATUS_UPPER_ACTIVE if red.kind == REDUCE_UPPER else STATUS_LOWER_ACTIVE
-    dropped = result.state.dropped_indices()
+    status = STATUS_UPPER_ACTIVE
+    if red.kind == REDUCE_LOWER_AS_UPPER:
+        # Negating a dot product is exact, so this is the original diversity.
+        mixture = replace(mixture, diversity=-mixture.diversity)
+        status = STATUS_LOWER_ACTIVE
+    dropped = np.concatenate(result.state.dropped or [np.empty(0, dtype=np.intp)])
     stats = SolveStats(
         iterations=result.state.iterations,
         screen_events=result.state.screen_events,
         dropped=int(dropped.size),
-        wall_time_us=(time.perf_counter_ns() - t0) / 1e3,
         exact=exact,
         duality_gap=gap,
-        dropped_indices=tuple(int(i) for i in dropped),
+        dropped_indices=dropped,
     )
+    stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
     return Solution(status=status, lambda_star=float(lambda_star),
                     mixture=mixture, stats=stats)

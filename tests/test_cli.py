@@ -64,6 +64,17 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INVALID
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [["--big-delta", "1e-12"],
+                                       ["--delta", "-1"],
+                                       ["--big-delta", "nan"]])
+    def test_rejected_option_exits_2(self, tmp_path, capsys, flags):
+        inp = write_instance(tmp_path / "inst.json")
+        assert main(["solve", "--input", inp, *flags]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["status"] == "Invalid" and err["errors"] == ["Options"]
+
     def test_infeasible_exits_3(self, tmp_path, capsys):
         inp = write_instance(tmp_path / "inst.json", b1=2.0, b2=3.0)
         assert main(["solve", "--input", inp]) == EXIT_INFEASIBLE

@@ -30,8 +30,8 @@ class TestEvalDual:
     def test_extreme_assignments_at_tie(self):
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
         ev = eval_dual(inst, 0.5, act, tau=1e-9 * 2.5)
-        assert ev.x_min_div.slots == (1,) and ev.min_div == -1.0
-        assert ev.x_max_div.slots == (0,) and ev.max_div == 1.0
+        assert ev.slots_min.tolist() == [1] and ev.min_div == -1.0
+        assert ev.slots_max.tolist() == [0] and ev.max_div == 1.0
 
     def test_derivative_identities_random(self):
         for rep in range(60):

@@ -192,7 +192,7 @@ class TestSolveUnconstrained:
                                  [2.0, 1.0], -10.0, 10.0)
         un = solve_unconstrained(inst)
         assert un.value == 8.0
-        assert un.x_min.slots == un.x_max.slots == (0, 1)
+        assert un.slots_min.tolist() == un.slots_max.tolist() == [0, 1]
         assert un.min_div == un.max_div == 1.0
 
     def test_tied_scores_split_diversity(self):
@@ -200,8 +200,8 @@ class TestSolveUnconstrained:
                                  [2.0, 1.0], -10.0, 10.0)
         un = solve_unconstrained(inst)
         assert un.value == 9.0
-        assert un.min_div == -1.0 and un.x_min.slots == (1, 0)
-        assert un.max_div == 1.0 and un.x_max.slots == (0, 1)
+        assert un.min_div == -1.0 and un.slots_min.tolist() == [1, 0]
+        assert un.max_div == 1.0 and un.slots_max.tolist() == [0, 1]
 
     def test_zero_diversity_scores(self):
         inst = validate_instance(3, 2, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
@@ -219,4 +219,4 @@ class TestSolveUnconstrained:
             assert ts.tied.size == 0 and ts.certain.size == n
             un = unconstrained_extremes(z, rng.normal(size=m), strict_weights(rng, n))
             assert un.min_div == un.max_div
-            assert un.x_min.slots == un.x_max.slots
+            assert un.slots_min.tolist() == un.slots_max.tolist()

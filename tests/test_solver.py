@@ -9,6 +9,7 @@ from divrank.dual import ActiveSet, OneSidedInstance, eval_dual
 from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            STATUS_UPPER_ACTIVE, validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
+from divrank.rank import solve_unconstrained
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             REDUCE_UPPER, DualSearchState, InfeasibleError,
                             SolveOptions, precheck_feasibility, recover_primal,
@@ -80,6 +81,23 @@ class TestReduction:
         assert sol.lambda_star == 0.0
         assert sol.objective == pytest.approx(3.0)
 
+    def test_lower_clamp_keeps_top_n_value(self):
+        # Three candidates tie for two slots, so the tied optima reach every
+        # diversity in [min_div, max_div] by mixing; a b1 inside clamps the
+        # mixture to b1 and must not move the objective off the top-n value.
+        inst0 = validate_instance(4, 2, [2.7, 2.7, 2.7, 1.3],
+                                  [0.37, -1.13, 0.91, 0.2], [1.0, 0.63],
+                                  -10.0, 10.0)
+        un = solve_unconstrained(inst0)
+        assert un.min_div < un.max_div
+        rng = np.random.default_rng(510)
+        for b1 in un.min_div + rng.uniform(1e-3, 1.0, 50) * (un.max_div - un.min_div):
+            inst = validate_instance(4, 2, inst0.c, inst0.a, inst0.w, b1, 10.0)
+            sol = solve(inst)
+            assert sol.status == STATUS_LOWER_ACTIVE and sol.lambda_star == 0.0
+            assert abs(sol.diversity - b1) <= 1e-12 * abs(b1)
+            assert sol.objective == un.value
+
 
 class TestBisection:
     def test_lands_on_kink(self):
@@ -139,6 +157,11 @@ class TestBisection:
             SolveOptions(big_delta=1e-12, small_delta=1e-10)
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
+        for small in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolveOptions(small_delta=small)
+        with pytest.raises(ValueError):
+            SolveOptions(big_delta=float("nan"))
 
 
 class TestScreening:
@@ -188,7 +211,11 @@ class TestScreening:
         for rep in range(60):
             inst = gen_synthetic(GenConfig(m=50, n=5, seed=(504, rep)))
             sol = solve(inst)
-            assert not (set(sol.stats.dropped_indices) & sol.mixture.support())
+            dropped = sol.stats.dropped_indices
+            assert isinstance(dropped, np.ndarray) and dropped.dtype.kind == "i"
+            assert np.unique(dropped).size == dropped.size == sol.stats.dropped
+            assert np.all((dropped >= 0) & (dropped < inst.m))
+            assert not (set(dropped.tolist()) & sol.mixture.support())
 
 
 class TestRecoverPrimal:
@@ -259,6 +286,24 @@ class TestSolvePipeline:
         assert sol.status == STATUS_LOWER_ACTIVE
         assert sol.diversity == pytest.approx(-0.5, abs=1e-12)
         assert sol.objective == pytest.approx(2.75, abs=1e-12)
+
+    def test_lower_active_reports_original_values_exactly(self):
+        # The bisection runs on the negated diversity scores; the reported
+        # objective and diversity are those of the two slot vectors in the
+        # original data, bit for bit.
+        for rep in range(30):
+            base = gen_synthetic(GenConfig(m=60, n=5, seed=(511, rep)))
+            inst = validate_instance(base.m, base.n, base.c, -base.a, base.w,
+                                     base.b1, base.b2)
+            sol = solve(inst)
+            assert sol.status == STATUS_LOWER_ACTIVE and sol.lambda_star > 0.0
+            mix = sol.mixture
+            s1, s2 = list(mix.x1.slots), list(mix.x2.slots)
+            rho = mix.rho
+            o1, o2 = float(inst.w @ inst.c[s1]), float(inst.w @ inst.c[s2])
+            d1, d2 = float(inst.w @ inst.a[s1]), float(inst.w @ inst.a[s2])
+            assert sol.objective == (o1 if o1 == o2 else rho * o1 + (1.0 - rho) * o2)
+            assert sol.diversity == rho * d1 + (1.0 - rho) * d2
 
     def test_status_invariants_random(self):
         for rep in range(120):
