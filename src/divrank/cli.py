@@ -234,9 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-screening", action="store_true",
                          help="disable candidate screening")
     p_solve.add_argument("--delta", type=float, default=1e-10,
-                         help="bracket width giving up on exactness")
+                         help="bracket width giving up on exactness, on lambda "
+                              "after a is rescaled by the power of two nearest "
+                              "max|c|/max|a|")
     p_solve.add_argument("--big-delta", type=float, default=None,
-                         help="bracket width enabling kink tracing")
+                         help="bracket width enabling kink tracing, on the "
+                              "same rescaled lambda as --delta")
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance")

@@ -10,7 +10,9 @@ top-n assignment.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +45,9 @@ class OneSidedInstance:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Surviving candidates: original indices plus sliced score arrays."""
+class ActiveSet(NamedTuple):
+    """Surviving candidates: original indices plus sliced score arrays.
+    A NamedTuple like DualEvaluation: screening builds one per drop."""
 
     indices: np.ndarray
     c: np.ndarray
@@ -59,12 +61,12 @@ class ActiveSet:
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def keep(self, mask: np.ndarray) -> "ActiveSet":
-        return ActiveSet(indices=self.indices[mask], c=self.c[mask], a=self.a[mask])
+    def keep(self, rows: np.ndarray) -> "ActiveSet":
+        """Survivors at the given positions."""
+        return ActiveSet(indices=self.indices[rows], c=self.c[rows], a=self.a[rows])
 
 
-@dataclass(frozen=True)
-class DualEvaluation:
+class DualEvaluation(NamedTuple):
     """g and its one-sided derivatives at a point, with the extreme-diversity
     maximizing assignments as slot arrays of original candidate indices."""
 
@@ -86,7 +88,7 @@ def kink_tie_tol(z: np.ndarray) -> float:
     """Absolute tie tolerance used at traced kinks: 1e-9 * max|z|."""
     if z.size == 0:
         return 0.0
-    return KINK_TIE_RTOL * float(np.max(np.abs(z)))
+    return KINK_TIE_RTOL * float(np.abs(z).max())
 
 
 def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
@@ -99,18 +101,18 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
     n = inst.n
     z = active.c - lam * active.a
     ss = sort_scores(z, tau, n)
-    g = float(np.dot(inst.w, ss.values[:n])) + inst.b2 * lam
+    g = float(inst.w.dot(ss.values[:n])) + inst.b2 * lam
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, active.a, inst.w, MIN_DIVERSITY)
-    max_div, slots_max = extremal_diversity(ss, ts, active.a, inst.w, MAX_DIVERSITY)
-    return DualEvaluation(
-        lam=float(lam), g=g,
-        g_minus=inst.b2 - max_div, g_plus=inst.b2 - min_div,
-        z=z, sorted=ss, topset=ts,
-        min_div=min_div, max_div=max_div,
-        slots_min=active.indices[slots_min], slots_max=active.indices[slots_max],
-        tau=float(tau),
-    )
+    slots_min = active.indices[slots_min]
+    if ts.unique:  # one optimal assignment
+        max_div, slots_max = min_div, slots_min
+    else:
+        max_div, slots_max = extremal_diversity(ss, ts, active.a, inst.w, MAX_DIVERSITY)
+        slots_max = active.indices[slots_max]
+    return DualEvaluation(float(lam), g, inst.b2 - max_div, inst.b2 - min_div,
+                          z, ss, ts, min_div, max_div, slots_min, slots_max,
+                          float(tau))
 
 
 def _one_sided_top(ev: DualEvaluation, active: ActiveSet,
@@ -148,10 +150,10 @@ def _crossing_offsets(ev: DualEvaluation, active: ActiveSet,
     den = active.a[:, None] - active.a[t_idx][None, :]
     if not forward:
         den = -den
-    a_tol = PARALLEL_RTOL * float(np.max(np.abs(active.a))) if active.a.size else 0.0
+    a_tol = PARALLEL_RTOL * float(np.abs(active.a).max()) if active.a.size else 0.0
     z_tol = ev.tau
     valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
-    if not np.any(valid):
+    if not valid.any():
         return np.empty(0)
     return num[valid] / den[valid]
 
@@ -161,7 +163,7 @@ def kink_right(ev: DualEvaluation, active: ActiveSet) -> float:
     offs = _crossing_offsets(ev, active, forward=True)
     if offs.size == 0:
         return np.inf
-    return ev.lam + float(np.min(offs))
+    return ev.lam + float(offs.min())
 
 
 def kink_left(ev: DualEvaluation, active: ActiveSet) -> float | None:
@@ -170,7 +172,7 @@ def kink_left(ev: DualEvaluation, active: ActiveSet) -> float | None:
     offs = _crossing_offsets(ev, active, forward=False)
     if offs.size == 0:
         return None
-    lam = ev.lam - float(np.min(offs))
+    lam = ev.lam - float(offs.min())
     if lam < 0.0:
         return None
     return lam
@@ -194,7 +196,7 @@ def trace_kinks(inst: OneSidedInstance, start: float = 0.0,
         z = active.c - lam * active.a
         ev = eval_dual(inst, lam, active, tau=kink_tie_tol(z))
         nxt = kink_right(ev, active)
-        if not np.isfinite(nxt):
+        if not math.isfinite(nxt):
             return np.asarray(out)
         out.append(nxt)
         lam = nxt

@@ -21,7 +21,8 @@ from .model import Instance
 BREAKPOINT_SIZE_CAP = 2000
 # Largest (m, n) accepted by the brute-force oracle.
 BRUTE_FORCE_CAP = (7, 3)
-# Candidate ratios closer than this (relative) are merged into one kink.
+# Candidate ratios closer than this, relative to their size, are merged into
+# one kink; purely relative, so the grid resolves kinks at any scale.
 MERGE_RTOL = 1e-12
 
 
@@ -72,7 +73,7 @@ def _candidate_grid(inst: OneSidedInstance) -> np.ndarray:
         keep[0] = True
         last = r[0]
         for i in range(1, r.size):
-            if r[i] - last > MERGE_RTOL * (1.0 + abs(r[i])):
+            if r[i] - last > MERGE_RTOL * r[i]:
                 keep[i] = True
                 last = r[i]
             else:

@@ -9,6 +9,7 @@ helpers here expose that structure and the diversity extremes over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,10 @@ MIN_DIVERSITY = "min"
 MAX_DIVERSITY = "max"
 
 
-@dataclass(frozen=True)
-class SortedScores:
+# SortedScores, TopSet and dual.DualEvaluation are NamedTuples, immutable
+# like the frozen dataclasses elsewhere: one of each is built per dual
+# evaluation, and a frozen dataclass's __init__ takes about twice as long.
+class SortedScores(NamedTuple):
     """Scores sorted non-increasing, with tie groups as ranges over `order`.
 
     order: local indices, score-descending, exact ties by ascending index.
@@ -29,6 +32,10 @@ class SortedScores:
       (single-linkage chaining).
     boundary_group: group straddling the rank-n cut when n was supplied and
       the cut splits a group, else None.
+
+    When n was supplied, order and values may be a prefix of the full sort:
+    they end with the group holding rank n, and every group up to that one
+    is exactly what the full sort gives.
     """
 
     order: np.ndarray
@@ -39,8 +46,7 @@ class SortedScores:
     boundary_group: int | None = None
 
 
-@dataclass(frozen=True)
-class TopSet:
+class TopSet(NamedTuple):
     """Top-n membership with boundary ties.
 
     certain: members of groups fully above the rank-n cut.
@@ -48,33 +54,76 @@ class TopSet:
     slots_in_tied: how many of the tied members receive slots.
     top_end: offset into the sorted order such that order[:top_end] is the
       full top-n candidate set including boundary ties.
+    cut_group: index of the tie group holding rank n.
     """
 
     certain: np.ndarray
     tied: np.ndarray
     slots_in_tied: int
     top_end: int
+    cut_group: int
+
+    @property
+    def unique(self) -> bool:
+        """Every group meeting the top n is a single candidate, so the
+        optimal assignment is unique and its diversity min equals max."""
+        return self.slots_in_tied == 0 and self.cut_group == self.top_end - 1
+
+
+# Candidates selected beyond rank n before sorting; the block grows by
+# SELECT_GROWTH while the tie chain holding rank n reaches its edge.
+SELECT_SLACK = 32
+SELECT_GROWTH = 4
+
+
+def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int | None,
+             partial: bool) -> SortedScores | None:
+    """Tie groups over z[order]. With n, cut everything after the group
+    holding rank n; a partial order (the top block of a selection) yields
+    None when that group's chain reaches the block's edge."""
+    values = z[order]
+    size = values.shape[0]
+    # edge[i]: a group starts at i (i < size) or ends at i (i > 0).
+    edge = np.empty(size + 1, dtype=bool)
+    edge[0] = edge[size] = True
+    np.greater(values[:-1] - values[1:], tau, out=edge[1:size])
+    bounds = edge.nonzero()[0]
+    boundary = None
+    if n is not None:
+        g = int(bounds.searchsorted(n))  # bounds[g]: end of the group holding rank n
+        end = int(bounds[g])
+        if end == size and partial:
+            return None
+        if end > n:
+            boundary = g - 1
+        bounds = bounds[:g + 1]
+        order = order[:end]
+        values = values[:end]
+    return SortedScores(order, values, bounds[:-1], bounds[1:], tau, boundary)
 
 
 def sort_scores(z: np.ndarray, tau: float = 0.0, n: int | None = None) -> SortedScores:
-    """Sort scores descending and split into tie groups at gap > tau."""
+    """Sort scores descending and split into tie groups at gap > tau.
+
+    With n, only a block of the largest scores a little past rank n is
+    selected (O(m)) and sorted; see SortedScores for what that returns.
+    """
     z = np.asarray(z, dtype=np.float64)
-    order = np.argsort(-z, kind="stable")
-    values = z[order]
-    if values.shape[0] > 1:
-        brk = np.flatnonzero((values[:-1] - values[1:]) > tau)
-        starts = np.concatenate(([0], brk + 1))
-        ends = np.concatenate((brk + 1, [values.shape[0]]))
-    else:
-        starts = np.zeros(1, dtype=np.intp)
-        ends = np.full(1, values.shape[0], dtype=np.intp)
-    boundary: int | None = None
-    if n is not None and 1 <= n <= values.shape[0]:
-        g = int(np.searchsorted(starts, n - 1, side="right") - 1)
-        if ends[g] > n:
-            boundary = g
-    return SortedScores(order=order, values=values, starts=starts, ends=ends,
-                        tau=float(tau), boundary_group=boundary)
+    tau = float(tau)
+    m = z.shape[0]
+    if n is None or not 1 <= n <= m:
+        return _grouped(z, (-z).argsort(kind="stable"), tau, None, False)
+    k = n + SELECT_SLACK
+    while k < m:
+        # Everything outside the block is <= its smallest member, so the
+        # block sorted by (-z, index) starts like the full stable sort.
+        block = z.argpartition(m - k)[m - k:]
+        block.sort()
+        ss = _grouped(z, block[(-z[block]).argsort(kind="stable")], tau, n, True)
+        if ss is not None:
+            return ss
+        k *= SELECT_GROWTH
+    return _grouped(z, (-z).argsort(kind="stable"), tau, n, False)
 
 
 def top_n_with_ties(ss: SortedScores, n: int) -> TopSet:
@@ -83,14 +132,15 @@ def top_n_with_ties(ss: SortedScores, n: int) -> TopSet:
     size = ss.order.shape[0]
     if not 1 <= n <= size:
         raise ValueError(f"n={n} out of range for {size} scores")
-    g = int(np.searchsorted(ss.starts, n - 1, side="right") - 1)
-    if ss.ends[g] == n:
-        return TopSet(certain=ss.order[:n], tied=ss.order[:0],
-                      slots_in_tied=0, top_end=n)
-    start = int(ss.starts[g])
+    # Sorted with this n, the last group holds rank n; otherwise search.
+    g = ss.starts.shape[0] - 1
+    if ss.starts[g] >= n:
+        g = int(ss.starts.searchsorted(n - 1, side="right")) - 1
     end = int(ss.ends[g])
-    return TopSet(certain=ss.order[:start], tied=ss.order[start:end],
-                  slots_in_tied=n - start, top_end=end)
+    if end == n:
+        return TopSet(ss.order[:n], ss.order[:0], 0, n, g)
+    start = int(ss.starts[g])
+    return TopSet(ss.order[:start], ss.order[start:end], n - start, end, g)
 
 
 def extremal_diversity(ss: SortedScores, ts: TopSet, a: np.ndarray,
@@ -105,31 +155,31 @@ def extremal_diversity(ss: SortedScores, ts: TopSet, a: np.ndarray,
     if direction not in (MIN_DIVERSITY, MAX_DIVERSITY):
         raise ValueError(f"unknown direction {direction!r}")
     n = w.shape[0]
-    # Fast path: every group intersecting the top-n is a singleton.
-    g_last = int(np.searchsorted(ss.starts, n - 1, side="right") - 1)
-    if g_last == n - 1 and ss.ends[g_last] == n:
+    if ts.unique:
         slots = ss.order[:n]
-        return float(np.dot(w, a[slots])), slots
+        return float(w.dot(a[slots])), slots
 
-    slots = np.empty(n, dtype=ss.order.dtype)
-    g = 0
-    while g < ss.starts.shape[0] and ss.starts[g] < n:
-        start = int(ss.starts[g])
-        end = int(ss.ends[g])
-        members = ss.order[start:end]
-        k = min(end, n) - start
-        if members.shape[0] == 1:
-            slots[start] = members[0]
-        else:
-            av = a[members]
-            if direction == MAX_DIVERSITY:
-                # Largest-a members, descending against descending weights.
-                pick = np.argsort(-av, kind="stable")[:k]
-            else:
-                pick = np.argsort(av, kind="stable")[:k]
-            slots[start:start + k] = members[pick]
-        g += 1
-    return float(np.dot(w, a[slots])), slots
+    def arranged(members: np.ndarray, k: int) -> np.ndarray:
+        # Largest-a members first for the max (descending against
+        # descending weights), smallest first for the min.
+        av = a[members]
+        if direction == MAX_DIVERSITY:
+            av = -av
+        return members[av.argsort(kind="stable")[:k]]
+
+    # Groups inside the top n keep their slot block; a straddling cut group
+    # gives its members' slots to the tied members that arranged() puts first.
+    slots = ss.order[:n].copy()
+    inside = ts.cut_group if ts.slots_in_tied else ts.cut_group + 1
+    if inside != ts.certain.shape[0]:  # some group inside has several members
+        starts = ss.starts[:inside]
+        ends = ss.ends[:inside]
+        for g in ((ends - starts) > 1).nonzero()[0].tolist():
+            start, end = int(starts[g]), int(ends[g])
+            slots[start:end] = arranged(ss.order[start:end], end - start)
+    if ts.slots_in_tied:
+        slots[ts.certain.shape[0]:] = arranged(ts.tied, ts.slots_in_tied)
+    return float(w.dot(a[slots])), slots
 
 
 @dataclass(frozen=True)
@@ -152,7 +202,10 @@ def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray) -> Uncon
     value = float(np.dot(w, ss.values[:n]))
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
-    max_div, slots_max = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
+    if ts.unique:
+        max_div, slots_max = min_div, slots_min
+    else:
+        max_div, slots_max = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
     return UnconstrainedResult(value=value, min_div=min_div, max_div=max_div,
                                slots_min=slots_min, slots_max=slots_max)
 

@@ -5,6 +5,7 @@ and recover the optimal primal mixture in closed form.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -55,6 +56,10 @@ class SolveOptions:
     big_delta: bracket width below which kink tracing is attempted; None
       picks 1e-2 * (1 + lambda) at the first finite bracket.
     small_delta: bracket width at which the search gives up on exactness.
+
+    solve() measures both widths on lambda after rescaling `a` by the power
+    of two nearest max|c| / max|a|; for scores of similar magnitude that
+    factor is 1.
     """
 
     screening: bool = True
@@ -84,7 +89,6 @@ class DualSearchState:
     screen_events: int = 0
     dropped: list[np.ndarray] = field(default_factory=list)
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
-    top_candidates: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,12 @@ class BisectionResult:
 def precheck_feasibility(inst: Instance) -> FeasibilityReport:
     """Range of weighted diversity over all assignments, and whether it
     meets [b1, b2]. Heaviest slots take the smallest (largest) diversity
-    scores for the minimum (maximum)."""
-    a_sorted = np.sort(inst.a)
-    div_min = float(np.dot(inst.w, a_sorted[:inst.n]))
-    div_max = float(np.dot(inst.w, a_sorted[::-1][:inst.n]))
+    scores for the minimum (maximum); only those 2n values are sorted."""
+    n, m = inst.n, inst.m
+    low = np.sort(np.partition(inst.a, n - 1)[:n])
+    high = np.sort(np.partition(inst.a, m - n)[m - n:])
+    div_min = float(np.dot(inst.w, low))
+    div_max = float(np.dot(inst.w, high[::-1]))
     feasible = max(inst.b1, div_min) <= min(inst.b2, div_max)
     return FeasibilityReport(feasible=feasible, div_min=div_min, div_max=div_max)
 
@@ -124,8 +130,8 @@ def _mix_extremes(c: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray,
         rho = 1.0
     else:
         rho = float(min(1.0, max(0.0, (target - d2) / (d1 - d2))))
-    obj1 = float(np.dot(w, c[s1]))
-    obj2 = float(np.dot(w, c[s2]))
+    obj1 = float(w.dot(c[s1]))
+    obj2 = float(w.dot(c[s2]))
     objective = obj1 if obj1 == obj2 else rho * obj1 + (1.0 - rho) * obj2
     return PrimalMixture(x1=ExtremeAssignment(tuple(s1.tolist())),
                          x2=ExtremeAssignment(tuple(s2.tolist())), rho=rho,
@@ -168,38 +174,59 @@ def _optimal(ev: DualEvaluation) -> bool:
     return ev.g_minus <= 0.0 <= ev.g_plus
 
 
-def _lambda_cap(inst: OneSidedInstance) -> float:
-    a_abs = np.abs(inst.a)
-    a_max = float(np.max(a_abs)) if a_abs.size else 0.0
+def _magnitudes(inst: OneSidedInstance) -> tuple[float, float]:
+    """(max|c|, max|a|), read off each array's extremes."""
+    return (max(float(inst.c.max()), -float(inst.c.min())),
+            max(float(inst.a.max()), -float(inst.a.min())))
+
+
+def _lambda_cap(c_max: float, a_max: float) -> float:
     if a_max <= 0.0:
-        return np.inf
-    c_max = float(np.max(np.abs(inst.c))) if inst.c.size else 0.0
+        return math.inf
     return LAMBDA_CAP_FACTOR * (1.0 + c_max / a_max)
 
 
-def screen_candidates(state: DualSearchState, inst: OneSidedInstance) -> np.ndarray:
+def _scale_exponent(c_max: float, a_max: float) -> int:
+    """k such that 2**k is the power of two nearest c_max / a_max on a log
+    scale; 0 when either is 0. Multiplying a by 2**k puts lambda* near the
+    scale of 1, where doubling from 1 and the absolute small_delta work,
+    and is exact in floating point. Computed from exponent and mantissa so
+    that scaling c or a by a power of two shifts k by exactly that power."""
+    if c_max == 0.0 or a_max == 0.0:
+        return 0
+    mc, ec = math.frexp(c_max)
+    ma, ea = math.frexp(a_max)
+    return ec - ea + round(math.log2(mc / ma))
+
+
+def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
+                      ev: DualEvaluation) -> np.ndarray:
     """Drop candidates that miss the top n at both bracket endpoints.
 
-    With i_1..i_n the top n at the last evaluated point and thresholds
-    theta = min_k (c - lambda a)[i_k] at each endpoint, any candidate
-    strictly below both thresholds stays out of the top n for every lambda
-    in the bracket, hence carries zero weight at the optimum. The strict
-    inequalities keep the top-n witnesses themselves, so the active set
-    never shrinks below n. Returns the dropped original indices.
+    ev is the evaluation over state.active at one endpoint of the bracket.
+    With i_1..i_n its top n and thresholds theta = min_k (c - lambda a)[i_k]
+    at each endpoint, any candidate strictly below both thresholds stays out
+    of the top n for every lambda in the bracket, hence carries zero weight
+    at the optimum. ev is evaluated with tau = 0, so at its endpoint the
+    candidates scoring at least theta, its n-th largest score, are exactly
+    its top set with boundary ties. The strict inequalities keep the top-n
+    witnesses themselves, so the active set never shrinks below n. Returns
+    the dropped original indices.
     """
-    if state.top_candidates is None or not np.isfinite(state.lambda_max):
-        return np.empty(0, dtype=np.intp)
     act = state.active
-    top = state.top_candidates
-    theta_lo = float(np.min(inst.c[top] - state.lambda_min * inst.a[top]))
-    theta_hi = float(np.min(inst.c[top] - state.lambda_max * inst.a[top]))
-    v_lo = act.c - state.lambda_min * act.a
-    v_hi = act.c - state.lambda_max * act.a
-    drop = (v_lo < theta_lo) & (v_hi < theta_hi)
-    if not np.any(drop):
+    n = inst.n
+    if not math.isfinite(state.lambda_max) or act.size <= n:
         return np.empty(0, dtype=np.intp)
-    dropped = act.indices[drop]
-    state.active = act.keep(~drop)
+    other = state.lambda_max if ev.lam == state.lambda_min else state.lambda_min
+    # At lambda = 0 the scores c - 0 * a compare exactly as c does.
+    v = act.c - other * act.a if other else act.c
+    kept = v >= v[ev.sorted.order[:n]].min()
+    kept[ev.sorted.order[:ev.topset.top_end]] = True
+    keep = kept.nonzero()[0]
+    if keep.shape[0] == act.size:
+        return np.empty(0, dtype=np.intp)
+    dropped = act.indices[~kept]
+    state.active = act.keep(keep)
     state.screen_events += 1
     state.dropped.append(dropped)
     if log.isEnabledFor(logging.DEBUG):
@@ -222,8 +249,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
         active=ActiveSet.full(inst),
         big_delta=opts.big_delta, small_delta=opts.small_delta,
     )
-    n = inst.n
-    cap = _lambda_cap(inst)
+    cap = _lambda_cap(*_magnitudes(inst))
 
     while state.iterations < opts.max_iterations:
         state.bracket_history.append((state.lambda_min, state.lambda_max))
@@ -238,7 +264,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
             # Minimum lies strictly to the right.
             if narrow:
                 kr = kink_right(ev, state.active)
-                if np.isfinite(kr) and kr > state.lam:
+                if math.isfinite(kr) and kr > state.lam:
                     zk = state.active.c - kr * state.active.a
                     ev_k = eval_dual(inst, kr, state.active, tau=kink_tie_tol(zk))
                     state.iterations += 1
@@ -246,7 +272,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
                         return BisectionResult(kr, ev_k,
                                                (state.lam, state.lambda_max), state)
             state.lambda_min = state.lam
-            if np.isinf(state.lambda_max):
+            if math.isinf(state.lambda_max):
                 state.lam *= 2.0
                 if state.lam > cap:
                     raise InfeasibleError(
@@ -271,9 +297,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
             if state.big_delta is None:
                 state.big_delta = 1e-2 * (1.0 + state.lambda_max)
             state.lam = 0.5 * (state.lambda_min + state.lambda_max)
-        if opts.screening and np.isfinite(state.lambda_max):
-            state.top_candidates = state.active.indices[ev.sorted.order[:n]]
-            screen_candidates(state, inst)
+        if opts.screening and math.isfinite(state.lambda_max):
+            screen_candidates(state, inst, ev)
         if state.lambda_max - state.lambda_min <= opts.small_delta:
             break
 
@@ -335,6 +360,10 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
                         mixture=red.mixture, stats=stats)
 
     one = red.one_sided
+    shift = _scale_exponent(*_magnitudes(one))
+    if shift:
+        one = OneSidedInstance(one.c, np.ldexp(one.a, shift), one.w,
+                               math.ldexp(one.b2, shift))
     result = solve_dual_bisection(one, opts)
     if result.lambda_star is not None:
         mixture = recover_primal(result.lambda_star, result.evaluation, one)
@@ -343,15 +372,22 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         gap = 0.0
     else:
         b1_red = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
-        mixture, gap, lambda_star = _bracket_fallback(one, result, b1_red)
+        mixture, gap, lambda_star = _bracket_fallback(
+            one, result, math.ldexp(b1_red, shift))
         exact = False
         log.warning("bisection ended with bracket %s; returning endpoint "
                     "assignment with duality gap <= %.3g", result.bracket, gap)
     status = STATUS_UPPER_ACTIVE
-    if red.kind == REDUCE_LOWER_AS_UPPER:
-        # Negating a dot product is exact, so this is the original diversity.
-        mixture = replace(mixture, diversity=-mixture.diversity)
-        status = STATUS_LOWER_ACTIVE
+    # Undo the power-of-two scaling of a exactly: lambda grows with it and the
+    # diversity shrinks against it. Negating a dot product is exact too, so on
+    # the lower-as-upper path this is the original diversity.
+    lambda_star = math.ldexp(lambda_star, shift)
+    if shift or red.kind == REDUCE_LOWER_AS_UPPER:
+        diversity = math.ldexp(mixture.diversity, -shift)
+        if red.kind == REDUCE_LOWER_AS_UPPER:
+            diversity = -diversity
+            status = STATUS_LOWER_ACTIVE
+        mixture = replace(mixture, diversity=diversity)
     dropped = np.concatenate(result.state.dropped or [np.empty(0, dtype=np.intp)])
     stats = SolveStats(
         iterations=result.state.iterations,
@@ -362,5 +398,5 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         dropped_indices=dropped,
     )
     stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
-    return Solution(status=status, lambda_star=float(lambda_star),
+    return Solution(status=status, lambda_star=lambda_star,
                     mixture=mixture, stats=stats)

@@ -5,8 +5,15 @@ reproduce from the printed seed tuple.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from divrank.model import Instance, ValidationError, validate_instance
+
+# Property tests draw the same examples on every run, with no time limit per
+# example and no example database left behind.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def rel_close(x: float, y: float, tol: float = 1e-9) -> bool:

@@ -5,16 +5,127 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import strict_weights
-from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, extremal_diversity,
-                          sort_scores, solve_unconstrained, top_n_with_ties,
+from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SELECT_SLACK,
+                          SortedScores, extremal_diversity, sort_scores,
+                          solve_unconstrained, top_n_with_ties,
                           unconstrained_extremes)
 from divrank.model import validate_instance
 
 
 def groups_of(ss):
     return [set(ss.order[s:e].tolist()) for s, e in zip(ss.starts, ss.ends)]
+
+
+def full_sort_reference(z, tau, n):
+    """sort_scores as a full stable argsort over every score: the reference
+    the selecting version must reproduce up to the group holding rank n."""
+    z = np.asarray(z, dtype=np.float64)
+    order = np.argsort(-z, kind="stable")
+    values = z[order]
+    if values.shape[0] > 1:
+        brk = np.flatnonzero((values[:-1] - values[1:]) > tau)
+        starts = np.concatenate(([0], brk + 1))
+        ends = np.concatenate((brk + 1, [values.shape[0]]))
+    else:
+        starts = np.zeros(1, dtype=np.intp)
+        ends = np.full(1, values.shape[0], dtype=np.intp)
+    g = int(np.searchsorted(starts, n - 1, side="right") - 1)
+    boundary = g if ends[g] > n else None
+    return SortedScores(order=order, values=values, starts=starts, ends=ends,
+                        tau=float(tau), boundary_group=boundary), g
+
+
+TAU = 1e-3
+
+
+@st.composite
+def scores_and_cut(draw):
+    """(z, tau, n): exact ties on small integer grids, near-ties within and
+    just beyond tau, tau chains through rank n that may run past the
+    selected block, and all-equal scores; m = 1 and n = m included."""
+    m = draw(st.integers(1, 400))
+    n = draw(st.one_of(st.just(m), st.integers(1, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("grid", "near", "chain", "equal")))
+    tau = 0.0
+    if kind == "grid":
+        z = rng.integers(-draw(st.integers(0, 6)), 7, size=m).astype(float)
+    elif kind == "near":
+        tau = TAU
+        z = (np.round(rng.normal(size=m), 1)
+             + rng.choice([0.0, 0.5, 1.0, 1.5], size=m) * tau)
+    elif kind == "chain":
+        # Distinct scores above and below a chain of gaps 0.9 * tau that
+        # holds rank n, in descending rank order before shuffling.
+        tau = TAU
+        start = draw(st.integers(0, n - 1))
+        length = draw(st.integers(n - start, m - start))
+        below = m - start - length
+        z = np.concatenate((
+            1e3 - np.arange(start, dtype=float),
+            1e3 - start - 0.5 - 0.9 * tau * np.arange(length),
+            1e3 - start - length - 1.0 - np.arange(below, dtype=float)))
+    else:
+        z = np.full(m, draw(st.floats(-10.0, 10.0)))
+    return rng.permutation(z), tau, n
+
+
+class TestSelectionMatchesFullSort:
+    @settings(max_examples=400)
+    @given(scores_and_cut())
+    def test_prefix_and_groups_match_full_sort(self, case):
+        z, tau, n = case
+        ref, g = full_sort_reference(z, tau, n)
+        # Without n everything is sorted, as before.
+        full = sort_scores(z, tau)
+        assert full.order.tolist() == ref.order.tolist()
+        assert full.starts.tolist() == ref.starts.tolist()
+        assert full.ends.tolist() == ref.ends.tolist()
+        ss = sort_scores(z, tau, n)
+        top_end = int(ref.ends[g])
+        # The arrays end with the group holding rank n; everything up to it
+        # is what the full sort gives.
+        assert ss.order.tolist() == ref.order[:top_end].tolist()
+        assert ss.values.tolist() == ref.values[:top_end].tolist()
+        assert ss.starts.tolist() == ref.starts[:g + 1].tolist()
+        assert ss.ends.tolist() == ref.ends[:g + 1].tolist()
+        assert ss.boundary_group == ref.boundary_group
+        ts, ts_ref = top_n_with_ties(ss, n), top_n_with_ties(ref, n)
+        assert ts.certain.tolist() == ts_ref.certain.tolist()
+        assert ts.tied.tolist() == ts_ref.tied.tolist()
+        assert (ts.slots_in_tied, ts.top_end, ts.cut_group) == (
+            ts_ref.slots_in_tied, ts_ref.top_end, ts_ref.cut_group)
+        a = np.random.default_rng(n).normal(size=z.shape[0])
+        w = np.linspace(2.0, 1.0, n)
+        for direction in (MIN_DIVERSITY, MAX_DIVERSITY):
+            val, slots = extremal_diversity(ss, ts, a, w, direction)
+            val_ref, slots_ref = extremal_diversity(ref, ts_ref, a, w, direction)
+            assert val == val_ref and slots.tolist() == slots_ref.tolist()
+
+    def test_distinct_scores_sort_only_a_block(self):
+        z = np.random.default_rng(310).permutation(np.arange(100_000, dtype=float))
+        ss = sort_scores(z, 0.0, 10)
+        assert ss.order.shape[0] < z.shape[0] // 10
+        assert z[ss.order].tolist() == list(range(99_999, 99_989, -1))
+
+    def test_tie_group_far_past_the_block_comes_back_whole(self):
+        # Ranks 5..5000 share one score, so the group holding rank 10 runs
+        # far past the first selected block and the block must widen.
+        m = 20_000
+        z = np.concatenate(([9.0, 8.0, 7.0, 6.0], np.full(4996, 5.0),
+                            np.linspace(4.0, 0.0, m - 5000)))
+        perm = np.random.default_rng(311).permutation(m)
+        ss = sort_scores(z[perm], 0.0, 10)
+        assert 5000 > 10 + SELECT_SLACK
+        assert ss.boundary_group == 4
+        assert (ss.starts[4], ss.ends[4]) == (4, 5000)
+        tied = ss.order[4:5000]
+        assert np.all(z[perm][tied] == 5.0)
+        assert tied.tolist() == sorted(tied.tolist())
 
 
 class TestSortScores:

@@ -1,20 +1,23 @@
 """End-to-end solver: reduction, bisection, screening, primal recovery."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_tiny_instance, rel_close, strict_weights
 from divrank.dual import ActiveSet, OneSidedInstance, eval_dual
 from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
-                           STATUS_UPPER_ACTIVE, validate_instance)
+                           STATUS_UPPER_ACTIVE, default_weights,
+                           validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
-from divrank.rank import solve_unconstrained
+from divrank.rank import solve_unconstrained, unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             REDUCE_UPPER, DualSearchState, InfeasibleError,
                             SolveOptions, precheck_feasibility, recover_primal,
-                            reduce_two_sided, screen_candidates, solve,
-                            solve_dual_bisection)
+                            reduce_two_sided,
+                            screen_candidates, solve, solve_dual_bisection)
 from divrank.datagen import GenConfig, gen_synthetic
 
 
@@ -43,6 +46,21 @@ class TestPrecheck:
         rep = precheck_feasibility(inst)
         assert rep.div_min == 2.0 * (-2.0) + 1.0 * 1.0
         assert rep.div_max == 2.0 * 3.0 + 1.0 * 1.0
+
+    def test_matches_full_sort_bit_for_bit(self):
+        for rep in range(300):
+            rng = np.random.default_rng((512, rep))
+            m = int(rng.integers(1, 400))
+            n = m if rep % 5 == 0 else int(rng.integers(1, min(m, 40) + 1))
+            a = rng.normal(size=m) * 10.0 ** rng.uniform(-5, 5)
+            if rep % 2:
+                a = np.round(a, 0)  # duplicates
+            inst = validate_instance(m, n, np.zeros(m), a, strict_weights(rng, n),
+                                     -1e300, 1e300)
+            a_sorted = np.sort(inst.a)
+            pre = precheck_feasibility(inst)
+            assert pre.div_min == float(np.dot(inst.w, a_sorted[:n]))
+            assert pre.div_max == float(np.dot(inst.w, a_sorted[::-1][:n]))
 
 
 class TestReduction:
@@ -172,11 +190,25 @@ class TestScreening:
         state = DualSearchState(lambda_min=0.4, lambda_max=0.6, lam=0.5,
                                 active=ActiveSet.full(one), big_delta=None,
                                 small_delta=1e-10)
-        state.top_candidates = np.array([0])
-        dropped = screen_candidates(state, one)
+        ev = eval_dual(one, 0.4, state.active)
+        assert ev.sorted.order[:1].tolist() == [0]
+        dropped = screen_candidates(state, one, ev)
         assert dropped.tolist() == [2]
         assert state.active.indices.tolist() == [0, 1]
         assert state.screen_events == 1
+
+    def test_keeps_members_tied_at_the_cut(self):
+        # At 0.5 candidates 0 and 1 tie for the single slot; 1 falls below
+        # the witness 0 at 0.75 but stays, since it ties at the cut.
+        one = OneSidedInstance(np.array([1.0, 2.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
+                               np.array([1.0]), 0.5)
+        state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
+                                active=ActiveSet.full(one), big_delta=None,
+                                small_delta=1e-10)
+        ev = eval_dual(one, 0.5, state.active)
+        assert ev.topset.tied.tolist() == [0, 1]
+        assert screen_candidates(state, one, ev).tolist() == [2]
+        assert state.active.indices.tolist() == [0, 1]
 
     def test_noop_without_finite_upper_bracket(self):
         one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
@@ -184,8 +216,8 @@ class TestScreening:
         state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
                                 active=ActiveSet.full(one), big_delta=None,
                                 small_delta=1e-10)
-        state.top_candidates = np.array([0])
-        assert screen_candidates(state, one).size == 0
+        ev = eval_dual(one, 0.0, state.active)
+        assert screen_candidates(state, one, ev).size == 0
 
     def test_inert_diversity_reduces_to_top_n_of_c(self):
         rng = np.random.default_rng(502)
@@ -195,8 +227,9 @@ class TestScreening:
                                 active=ActiveSet.full(one), big_delta=None,
                                 small_delta=1e-10)
         top2 = np.argsort(-c, kind="stable")[:2]
-        state.top_candidates = top2
-        dropped = screen_candidates(state, one)
+        ev = eval_dual(one, 0.9, state.active)
+        assert ev.sorted.order[:2].tolist() == top2.tolist()
+        dropped = screen_candidates(state, one, ev)
         assert set(dropped.tolist()) == set(range(12)) - set(top2.tolist())
 
     def test_on_off_results_identical(self):
@@ -381,3 +414,47 @@ class TestSolvePipeline:
         assert sol.stats.iterations >= 1
         assert sol.stats.wall_time_us > 0.0
         assert sol.stats.dropped == len(sol.stats.dropped_indices)
+
+
+def binding_upper_instance(c_scale=1.0, a_scale=1.0):
+    """m=50, n=5, a correlated with c, b2 halfway between the smallest
+    diversity and the unconstrained optimum's; c and a (with the bounds)
+    multiplied by the given scales."""
+    rng = np.random.default_rng(0)
+    m, n = 50, 5
+    c = rng.normal(size=m)
+    a = 0.5 * c + rng.normal(size=m)
+    w = default_weights(n)
+    lo = float(np.dot(w, np.sort(a)[:n]))
+    top = unconstrained_extremes(c, a, w).min_div
+    return validate_instance(m, n, c * c_scale, a * a_scale, w,
+                             (lo - 1.0) * a_scale, 0.5 * (lo + top) * a_scale)
+
+
+class TestScoreScale:
+    @pytest.mark.parametrize("i", [0, 200, -200, 498, -498])
+    @pytest.mark.parametrize("j", [0, 200, -200, 498, -498])
+    def test_power_of_two_scaling_is_exact(self, i, j):
+        base = solve(binding_upper_instance())
+        sol = solve(binding_upper_instance(2.0 ** i, 2.0 ** j))
+        assert base.status == sol.status == STATUS_UPPER_ACTIVE
+        assert sol.stats.exact
+        assert sol.stats.iterations == base.stats.iterations
+        assert sol.mixture.x1.slots == base.mixture.x1.slots
+        assert sol.mixture.x2.slots == base.mixture.x2.slots
+        assert sol.mixture.rho == base.mixture.rho
+        assert sol.objective == math.ldexp(base.objective, i)
+        assert sol.diversity == math.ldexp(base.diversity, j)
+        assert sol.lambda_star == math.ldexp(base.lambda_star, i - j)
+
+    @pytest.mark.parametrize("exp", [-150, -100, -50, 50, 100, 150])
+    @pytest.mark.parametrize("scaled", ["c", "a"])
+    def test_extreme_magnitudes_match_oracle(self, scaled, exp):
+        scales = (10.0 ** exp, 1.0) if scaled == "c" else (1.0, 10.0 ** exp)
+        inst = binding_upper_instance(*scales)
+        sol = solve(inst)
+        ora = oracle_dual_breakpoints(reduce_two_sided(inst).one_sided)
+        assert sol.stats.exact and sol.stats.iterations <= 12
+        assert abs(sol.objective - ora.g_star) <= 1e-12 * abs(ora.g_star)
+        assert abs(sol.lambda_star - ora.lambda_star) <= 1e-12 * ora.lambda_star
+        assert abs(sol.diversity - inst.b2) <= 1e-12 * abs(inst.b2)
