@@ -178,6 +178,45 @@ def kink_left(ev: DualEvaluation, active: ActiveSet) -> float | None:
     return lam
 
 
+def _argmin_g(inst: OneSidedInstance, active: ActiveSet, lam: np.ndarray) -> int:
+    """Index of the smallest g over the active set among the points lam,
+    from one sort of the len(lam) x |active| score matrix."""
+    z = active.c - lam[:, None] * active.a
+    z.sort(axis=1)
+    return int((z[:, :-inst.n - 1:-1].dot(inst.w) + inst.b2 * lam).argmin())
+
+
+def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
+                    lo: float, hi: float) -> float | None:
+    """The crossing of two active score lines strictly inside (lo, hi) at
+    which g over the active set is smallest; None when no two lines cross
+    there.
+
+    When every candidate that can reach the top n inside the bracket is
+    active, each kink of g there is one of these crossings, so the pick is
+    a minimizer of g up to the rounding of the crossing itself. With the K
+    crossings sorted, g is evaluated in one batch at every step-th of them
+    (step = isqrt(K)) and in a second batch at those between the best
+    sample's two neighbours: g is convex, so its minimum over the crossings
+    lies between them. Each batch scores at most 2 sqrt(K) x |active|
+    points, the order of the |active| x |active| pair matrix, since K is
+    below |active|^2 / 2.
+    """
+    a, c = active.a, active.c
+    da = a[:, None] - a
+    # One orientation per pair, parallel ones skipped as in the kink step.
+    pair = da > PARALLEL_RTOL * float(np.abs(a).max())
+    lam = (c[:, None] - c)[pair] / da[pair]
+    lam = lam[(lam > lo) & (lam < hi)]
+    if lam.size == 0:
+        return None
+    lam.sort()
+    step = math.isqrt(lam.size)
+    best = _argmin_g(inst, active, lam[::step]) * step
+    near = lam[max(best - step + 1, 0):best + step]
+    return float(near[_argmin_g(inst, active, near)])
+
+
 def trace_kinks(inst: OneSidedInstance, start: float = 0.0,
                 active: ActiveSet | None = None,
                 limit: int | None = None) -> np.ndarray:

@@ -204,6 +204,9 @@ class PrimalMixture:
 
 @dataclass
 class SolveStats:
+    # Dual evaluations at one point each: bisection and doubling trials, the
+    # trial at the batched crossing step's pick, and kink evaluations; the
+    # step's batched evaluations at many crossings are not counted.
     iterations: int = 0
     screen_events: int = 0
     dropped: int = 0

@@ -13,11 +13,11 @@ from typing import Optional
 import numpy as np
 
 from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
-                   kink_left, kink_right, kink_tie_tol)
+                   kink_left, kink_right, kink_tie_tol, lowest_crossing)
 from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
                     PrimalMixture, Solution, SolveStats)
-from .rank import solve_unconstrained
+from .rank import SELECT_SLACK, solve_unconstrained
 
 log = logging.getLogger(__name__)
 
@@ -225,7 +225,8 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     keep = kept.nonzero()[0]
     if keep.shape[0] == act.size:
         return np.empty(0, dtype=np.intp)
-    dropped = act.indices[~kept]
+    # Positional indexing beats a boolean mask when many candidates drop.
+    dropped = act.indices[(~kept).nonzero()[0]]
     state.active = act.keep(keep)
     state.screen_events += 1
     state.dropped.append(dropped)
@@ -241,7 +242,10 @@ def solve_dual_bisection(inst: OneSidedInstance,
     Bisection on the sign of the one-sided derivatives brackets the
     minimizer; once the bracket is narrow, stepping to the nearest kink and
     testing the subgradient condition there lands on lambda* exactly.
-    Optional screening shrinks the active candidate set using the bracket.
+    Optional screening shrinks the active candidate set using the bracket;
+    the first time it leaves at most n + SELECT_SLACK survivors, the next
+    trial point is their crossing in the bracket where g is smallest, and a
+    kink step from it follows whether or not the bracket is narrow.
     """
     opts = opts or SolveOptions()
     state = DualSearchState(
@@ -250,6 +254,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
         big_delta=opts.big_delta, small_delta=opts.small_delta,
     )
     cap = _lambda_cap(*_magnitudes(inst))
+    crossed = not opts.screening  # the batched crossing step runs at most once
+    picked = False  # state.lam is the crossing that step picked
 
     while state.iterations < opts.max_iterations:
         state.bracket_history.append((state.lambda_min, state.lambda_max))
@@ -258,8 +264,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
         if _optimal(ev):
             return BisectionResult(state.lam, ev,
                                    (state.lambda_min, state.lambda_max), state)
-        narrow = (state.big_delta is not None
-                  and state.lambda_max - state.lambda_min < state.big_delta)
+        narrow = picked or (state.big_delta is not None
+                            and state.lambda_max - state.lambda_min < state.big_delta)
+        picked = False
         if ev.g_plus < 0.0:
             # Minimum lies strictly to the right.
             if narrow:
@@ -299,6 +306,14 @@ def solve_dual_bisection(inst: OneSidedInstance,
             state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         if opts.screening and math.isfinite(state.lambda_max):
             screen_candidates(state, inst, ev)
+            if not crossed and state.active.size <= inst.n + SELECT_SLACK:
+                # Inside the bracket only survivors reach the top n, so every
+                # kink of g there is a crossing of two survivors' lines.
+                crossed = True
+                pick = lowest_crossing(inst, state.active,
+                                       state.lambda_min, state.lambda_max)
+                if pick is not None:
+                    state.lam, picked = pick, True
         if state.lambda_max - state.lambda_min <= opts.small_delta:
             break
 

@@ -1,0 +1,118 @@
+"""Differential property tests of solve(), screening on and off, against the
+independent oracles on adversarial instances: scores on coarse grids,
+duplicated (c, a) rows, constant or zero diversity, n = m, b1 = b2 and
+bounds sitting exactly on a vertex diversity. On such inputs many score
+lines are parallel or cross at one point."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import rel_close
+from divrank.model import STATUS_UNCONSTRAINED, default_weights, validate_instance
+from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
+from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
+                            SolveOptions, precheck_feasibility,
+                            reduce_two_sided, solve)
+
+OPTIONS = (SolveOptions(), SolveOptions(screening=False))
+
+
+@st.composite
+def adversarial_instances(draw, max_m: int, max_n: int):
+    m = draw(st.integers(1, max_m))
+    n = draw(st.one_of(st.just(min(m, max_n)), st.integers(1, min(m, max_n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    span = draw(st.integers(1, 8))
+    c_span = draw(st.sampled_from((span, 4 * span, 40)))
+    c = rng.integers(-c_span, c_span + 1, size=m) * step
+    a_kind = draw(st.sampled_from(("grid",) * 4 + ("constant", "zero")))
+    if a_kind == "grid":
+        a = rng.integers(-span, span + 1, size=m) * step
+    else:
+        a = np.full(m, 0.0 if a_kind == "zero" else draw(st.sampled_from((-1.5, 1.0))))
+    dup = draw(st.integers(0, m // 2))  # copy dup rows over others
+    if dup:
+        src = rng.integers(0, m, size=dup)
+        dst = rng.integers(0, m, size=dup)
+        c[dst], a[dst] = c[src], a[src]
+    w = (default_weights(n) if draw(st.booleans())
+         else np.arange(n, 0, -1, dtype=np.float64))
+    # Vertex diversities: two injective assignments' weighted diversities,
+    # the lower one as b2 and the higher as b1, so that the bound binds more
+    # often than not.
+    v_lo, v_hi = sorted(float(w.dot(a[rng.permutation(m)[:n]])) for _ in range(2))
+    bound_kind = draw(st.sampled_from(("b2_vertex", "b1_vertex", "equal",
+                                       "equal_vertex", "b2_random", "b1_random")))
+    lo = float(w.dot(np.sort(a)[:n])) - 1.0
+    hi = float(w.dot(np.sort(a)[::-1][:n])) + 1.0
+    if bound_kind == "b2_vertex":
+        b1, b2 = lo, v_lo
+    elif bound_kind == "b1_vertex":
+        b1, b2 = v_hi, hi
+    elif bound_kind == "equal_vertex":
+        b1 = b2 = v_lo
+    elif bound_kind == "equal":
+        b1 = b2 = float(rng.uniform(lo, hi))
+    elif bound_kind == "b2_random":
+        b1, b2 = lo, float(rng.uniform(lo, hi))
+    else:
+        b1, b2 = float(rng.uniform(lo, hi)), hi
+    return validate_instance(m, n, c, a, w, b1, b2)
+
+
+def _g(one, lam: float) -> float:
+    """Dual value by a plain full sort, independent of the solver."""
+    z = np.sort(one.c - lam * one.a)[::-1][:one.n]
+    return float(one.w.dot(z)) + one.b2 * lam
+
+
+def _solved(inst):
+    """Both option sets' solutions, or None when the precheck refuses."""
+    if not precheck_feasibility(inst).feasible:
+        for opts in OPTIONS:
+            with pytest.raises(InfeasibleError):
+                solve(inst, opts)
+        return None
+    sols = [solve(inst, opts) for opts in OPTIONS]
+    for sol in sols:
+        assert sol.stats.exact
+        tol = 1e-9 * (1.0 + abs(inst.b1) + abs(inst.b2))
+        assert inst.b1 - tol <= sol.diversity <= inst.b2 + tol
+    return sols
+
+
+@settings(max_examples=500)
+@given(adversarial_instances(max_m=60, max_n=12))
+def test_matches_breakpoint_oracle(inst):
+    sols = _solved(inst)
+    if sols is None:
+        return
+    red = reduce_two_sided(inst)
+    if red.kind == REDUCE_ALREADY_OPTIMAL:
+        best = float(inst.w.dot(np.sort(inst.c)[::-1][:inst.n]))
+        for sol in sols:
+            assert rel_close(sol.objective, best, 1e-12)
+        return
+    ora = oracle_dual_breakpoints(red.one_sided)
+    for sol in sols:
+        assert sol.status != STATUS_UNCONSTRAINED
+        assert rel_close(sol.objective, ora.g_star)
+        # lambda* may be any point of a flat bottom; g there is the minimum.
+        assert rel_close(_g(red.one_sided, sol.lambda_star), ora.g_star)
+
+
+@settings(max_examples=300)
+@given(adversarial_instances(max_m=7, max_n=3))
+def test_matches_brute_force(inst):
+    sols = _solved(inst)
+    bf = brute_force_tiny(inst)
+    if sols is None:
+        assert not bf.feasible
+        return
+    assert bf.feasible
+    for sol in sols:
+        assert rel_close(sol.objective, bf.objective)

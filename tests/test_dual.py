@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_one_sided_arrays
 from divrank.dual import (ActiveSet, OneSidedInstance, eval_dual, kink_left,
-                          kink_right, kink_tie_tol, trace_kinks)
+                          kink_right, kink_tie_tol, lowest_crossing, trace_kinks)
 from divrank.oracle import oracle_dual_breakpoints, oracle_kink_set
 
 
@@ -172,3 +172,66 @@ class TestTraceCompleteness:
         z = np.array([4.0, -8.0, 1.0])
         assert kink_tie_tol(z) == 1e-9 * 8.0
         assert kink_tie_tol(np.empty(0)) == 0.0
+
+
+def plain_g(inst, lam):
+    z = np.sort(inst.c - lam * inst.a)[::-1][:inst.n]
+    return float(inst.w.dot(z)) + inst.b2 * lam
+
+
+def crossing_count(inst, lo, hi):
+    """Pairs of score lines crossing strictly inside (lo, hi)."""
+    i, j = np.triu_indices(inst.m, 1)
+    da = inst.a[i] - inst.a[j]
+    ok = da != 0.0
+    lam = (inst.c[i] - inst.c[j])[ok] / da[ok]
+    return int(((lam > lo) & (lam < hi)).sum())
+
+
+class TestLowestCrossing:
+    def test_pick_minimizes_g_over_oracle_grid_in_bracket(self):
+        sampled = 0
+        for rep in range(80):
+            c, a, w, n = random_one_sided_arrays((431, rep), m_max=40)
+            rng = np.random.default_rng((432, rep))
+            # b2 above the smallest diversity keeps g bounded below.
+            b2 = float(w.dot(np.sort(a)[:n])) + abs(float(rng.normal()))
+            inst, act = make(c, a, w, b2)
+            grid = oracle_dual_breakpoints(inst).breakpoints
+            if grid.size < 2:  # no positive crossing at all
+                continue
+            k = int(rng.integers(1, grid.size))
+            j = k + int(rng.integers(0, 40))
+            lo = 0.5 * (grid[k - 1] + grid[k])
+            hi = 0.5 * (grid[j] + grid[j + 1]) if j + 1 < grid.size else grid[-1] + 1.0
+            inside = grid[(grid > lo) & (grid < hi)]
+            pick = lowest_crossing(inst, act, lo, hi)
+            assert pick is not None and lo < pick < hi
+            best = min(plain_g(inst, lam) for lam in inside)
+            assert plain_g(inst, pick) <= best + 1e-12 * (1.0 + abs(best))
+            sampled += crossing_count(inst, lo, hi) >= 4  # two batches
+        assert sampled > 55
+
+    def test_sampling_finds_the_lowest_of_all_crossings(self):
+        # 40 lines in general position cross 780 times, so g is sampled at
+        # every 27th crossing before the neighbourhood of the best sample.
+        for rep in range(20):
+            rng = np.random.default_rng((433, rep))
+            c, a = rng.normal(size=40), rng.normal(size=40)
+            inst, act = make(c, a, [1.0, 0.6, 0.3], 0.5 * float(rng.normal()))
+            i, j = np.triu_indices(40, 1)
+            lam = (c[i] - c[j]) / (a[i] - a[j])
+            lo, hi = float(lam.min()) - 1.0, float(lam.max()) + 1.0
+            best = min(plain_g(inst, x) for x in lam)
+            pick = lowest_crossing(inst, act, lo, hi)
+            assert plain_g(inst, pick) <= best + 1e-12 * (1.0 + abs(best))
+
+    def test_parallel_lines_have_no_crossing(self):
+        inst, act = make([3.0, 2.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0], [1.0, 0.5], 0.0)
+        assert lowest_crossing(inst, act, 0.0, 100.0) is None
+
+    def test_bracket_between_crossings_is_none(self):
+        # Lines 3 - lam and 2 + lam cross at 0.5, 3 - lam and 0 at 3.
+        inst, act = make([3.0, 2.0, 0.0], [1.0, -1.0, 0.0], [1.0], 0.0)
+        assert lowest_crossing(inst, act, 0.5, 0.9) is None
+        assert lowest_crossing(inst, act, 0.4, 0.6) == 0.5

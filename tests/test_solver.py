@@ -19,6 +19,7 @@ from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             reduce_two_sided,
                             screen_candidates, solve, solve_dual_bisection)
 from divrank.datagen import GenConfig, gen_synthetic
+import divrank.solver as solver_module
 
 
 def running_instance(b1=-0.5, b2=0.5):
@@ -249,6 +250,82 @@ class TestScreening:
             assert np.unique(dropped).size == dropped.size == sol.stats.dropped
             assert np.all((dropped >= 0) & (dropped < inst.m))
             assert not (set(dropped.tolist()) & sol.mixture.support())
+
+
+class TestCrossingStep:
+    """The batched step over the survivors' crossings only proposes a trial
+    point; where it finds no crossing the search runs as plain bisection."""
+
+    @staticmethod
+    def search(one, monkeypatch, step):
+        calls = []
+
+        def spy(*args):
+            calls.append(step(*args))
+            return calls[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_module, "lowest_crossing", spy)
+            res = solve_dual_bisection(one)
+        return res, calls
+
+    def assert_search_unchanged(self, one, monkeypatch):
+        res, calls = self.search(one, monkeypatch, solver_module.lowest_crossing)
+        assert calls == [None]  # the step ran and found nothing
+        plain, _ = self.search(one, monkeypatch, lambda *args: None)
+        assert res.state.bracket_history == plain.state.bracket_history
+        assert res.state.iterations == plain.state.iterations
+        assert res.lambda_star == plain.lambda_star
+        return res
+
+    def test_parallel_survivors_leave_search_unchanged(self, monkeypatch):
+        # Every line has slope -1, so g is affine with slope 1 and lambda* = 0.
+        one = OneSidedInstance(np.array([3.0, 2.0, 1.0, 0.5]), np.ones(4),
+                               np.array([1.0, 0.5]), 2.5)
+        res = self.assert_search_unchanged(one, monkeypatch)
+        assert res.lambda_star == 0.0
+
+    def test_bracket_without_crossing_leaves_search_unchanged(self, monkeypatch):
+        # The only crossing is at 1, the first trial point; the bracket
+        # (0, 1) it leaves holds none.
+        one = OneSidedInstance(np.array([2.0, 0.0]), np.array([1.0, -1.0]),
+                               np.array([1.0]), 2.0)
+        res = self.assert_search_unchanged(one, monkeypatch)
+        assert res.state.bracket_history[1] == (0.0, 1.0)
+        assert res.lambda_star == 0.0
+
+    def test_kink_step_from_the_pick(self, monkeypatch):
+        # The pick's own evaluation sees one side of the kink at lambda*;
+        # the kink step from it lands there with the next evaluation.
+        inst = gen_synthetic(GenConfig(m=1000, n=10, seed=(512, 47)))
+        one = reduce_two_sided(inst).one_sided
+        brackets = []
+        lowest_crossing = solver_module.lowest_crossing
+
+        def step(reduced, active, lo, hi):
+            brackets.append((lo, hi))
+            return lowest_crossing(reduced, active, lo, hi)
+
+        res, picks = self.search(one, monkeypatch, step)
+        assert len(picks) == 1 and picks[0] is not None
+        assert res.evaluation.tau > 0.0
+        assert res.lambda_star == pytest.approx(picks[0], rel=1e-12)
+        # No bisection step between: the pick was the last trial point.
+        assert res.state.bracket_history[-1] == brackets[0]
+        assert res.state.iterations == len(res.state.bracket_history) + 1
+
+    def test_step_is_off_without_screening(self, monkeypatch):
+        inst = gen_synthetic(GenConfig(m=200, n=10, seed=511))
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_module, "lowest_crossing", None)  # not callable
+            sol = solve(inst, SolveOptions(screening=False))
+        assert sol.stats.exact
+
+    def test_few_evaluations_per_screened_solve(self):
+        # Bisection alone takes about 10 evaluations here; the step about 4.
+        iterations = [solve(gen_synthetic(GenConfig(m=1000, n=10, seed=(512, k))))
+                      .stats.iterations for k in range(50)]
+        assert np.mean(iterations) <= 6.0
 
 
 class TestRecoverPrimal:
