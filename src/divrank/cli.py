@@ -204,11 +204,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms", "reps"])
+            writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms", "reps",
+                             "median_ms"])
             for row in rows:
                 writer.writerow([row.m, row.n, row.algorithm,
                                  f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
-                                 len(row.times_ms)])
+                                 len(row.times_ms), f"{row.median_ms:.6f}"])
     header = f"{'m':>7} {'n':>4} {'algorithm':>10} {'mean_ms':>10} {'std_ms':>9} {'median_ms':>10}"
     print(header)
     for row in rows:

@@ -25,6 +25,8 @@ log = logging.getLogger(__name__)
 PARALLEL_RTOL = 1e-15
 # Relative tie tolerance applied when evaluating at a traced kink.
 KINK_TIE_RTOL = 1e-9
+# Pairs per block of the kink step's temporaries (512 KiB per float array).
+KINK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,47 +137,48 @@ def _one_sided_top(ev: DualEvaluation, active: ActiveSet,
     return np.concatenate((ts.certain, ts.tied[pick]))
 
 
-def _crossing_offsets(ev: DualEvaluation, active: ActiveSet,
-                      forward: bool) -> np.ndarray:
-    """Positive distances to score-line crossings against the top set.
+def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
+                      forward: bool) -> float:
+    """Smallest positive distance to a score-line crossing against the top
+    set; +inf when there is none.
 
     A pair (i, j in top set) crosses at offset (z_i - z_j) / (a_i - a_j)
     going right, or (z_i - z_j) / (a_j - a_i) going left; only strictly
     positive offsets matter, i.e. numerator and denominator of the same
     strict sign. Pairs tied within the evaluation's tau and near-parallel
-    pairs are excluded.
+    pairs are excluded. The rows i are taken in blocks of
+    KINK_BLOCK // |top set| (at least one), so the temporaries stay at
+    about KINK_BLOCK pairs for any m; every pair sees the same float
+    operations in any block, so the minimum does not depend on the block.
     """
     t_idx = _one_sided_top(ev, active, forward)
-    num = ev.z[:, None] - ev.z[t_idx][None, :]
-    den = active.a[:, None] - active.a[t_idx][None, :]
-    if not forward:
-        den = -den
-    a_tol = PARALLEL_RTOL * float(np.abs(active.a).max()) if active.a.size else 0.0
+    z, a = ev.z, active.a
+    z_top, a_top = z[t_idx], a[t_idx]
+    a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())) if a.size else 0.0
     z_tol = ev.tau
-    valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
-    if not valid.any():
-        return np.empty(0)
-    return num[valid] / den[valid]
+    rows = max(KINK_BLOCK // t_idx.size, 1)
+    best = math.inf
+    for lo in range(0, z.shape[0], rows):
+        num = z[lo:lo + rows, None] - z_top
+        den = a[lo:lo + rows, None] - a_top
+        if not forward:
+            np.negative(den, out=den)
+        valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
+        if valid.any():
+            best = min(best, float((num[valid] / den[valid]).min()))
+    return best
 
 
 def kink_right(ev: DualEvaluation, active: ActiveSet) -> float:
     """Nearest kink of g strictly to the right of ev.lam; +inf if none."""
-    offs = _crossing_offsets(ev, active, forward=True)
-    if offs.size == 0:
-        return np.inf
-    return ev.lam + float(offs.min())
+    return ev.lam + _nearest_crossing(ev, active, forward=True)
 
 
 def kink_left(ev: DualEvaluation, active: ActiveSet) -> float | None:
     """Nearest kink of g strictly to the left of ev.lam, within the domain
     [0, ev.lam); None when g is affine on [0, ev.lam]."""
-    offs = _crossing_offsets(ev, active, forward=False)
-    if offs.size == 0:
-        return None
-    lam = ev.lam - float(offs.min())
-    if lam < 0.0:
-        return None
-    return lam
+    lam = ev.lam - _nearest_crossing(ev, active, forward=False)
+    return lam if lam >= 0.0 else None  # -inf when there is no crossing
 
 
 def _argmin_g(inst: OneSidedInstance, active: ActiveSet, lam: np.ndarray) -> int:

@@ -44,9 +44,12 @@ class BracketOnlyError(Exception):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Whether [b1, b2] is reachable, with the extreme weighted diversities
+    over all assignments; an extreme a one-sided check skipped is None."""
+
     feasible: bool
-    div_min: float
-    div_max: float
+    div_min: Optional[float]
+    div_max: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,43 @@ class BisectionResult:
     state: DualSearchState
 
 
-def precheck_feasibility(inst: Instance) -> FeasibilityReport:
+def _div_min(inst: Instance) -> float:
+    """Smallest weighted diversity: the heaviest slots take the smallest
+    diversity scores; only those n values are sorted."""
+    low = np.sort(np.partition(inst.a, inst.n - 1)[:inst.n])
+    return float(np.dot(inst.w, low))
+
+
+def _div_max(inst: Instance) -> float:
+    """Largest weighted diversity, from the n largest diversity scores."""
+    cut = inst.m - inst.n
+    high = np.sort(np.partition(inst.a, cut)[cut:])
+    return float(np.dot(inst.w, high[::-1]))
+
+
+def precheck_feasibility(inst: Instance,
+                         kind: Optional[str] = None) -> FeasibilityReport:
     """Range of weighted diversity over all assignments, and whether it
-    meets [b1, b2]. Heaviest slots take the smallest (largest) diversity
-    scores for the minimum (maximum); only those 2n values are sorted."""
-    n, m = inst.n, inst.m
-    low = np.sort(np.partition(inst.a, n - 1)[:n])
-    high = np.sort(np.partition(inst.a, m - n)[m - n:])
-    div_min = float(np.dot(inst.w, low))
-    div_max = float(np.dot(inst.w, high[::-1]))
+    meets [b1, b2].
+
+    Given the reduction's kind, only the side that can fail is checked. An
+    already optimal instance is feasible. On the upper side every
+    unconstrained optimum exceeds b2 >= b1, so div_max does too and the
+    range meets [b1, b2] iff div_min <= b2; on the lower-as-upper side,
+    likewise, iff div_max >= b1. When that side fails the full two-sided
+    report is returned.
+    """
+    if kind == REDUCE_ALREADY_OPTIMAL:
+        return FeasibilityReport(feasible=True, div_min=None, div_max=None)
+    if kind == REDUCE_UPPER:
+        div_min = _div_min(inst)
+        if div_min <= inst.b2:
+            return FeasibilityReport(feasible=True, div_min=div_min, div_max=None)
+    elif kind == REDUCE_LOWER_AS_UPPER:
+        div_max = _div_max(inst)
+        if div_max >= inst.b1:
+            return FeasibilityReport(feasible=True, div_min=None, div_max=div_max)
+    div_min, div_max = _div_min(inst), _div_max(inst)
     feasible = max(inst.b1, div_min) <= min(inst.b2, div_max)
     return FeasibilityReport(feasible=feasible, div_min=div_min, div_max=div_max)
 
@@ -253,7 +284,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
         active=ActiveSet.full(inst),
         big_delta=opts.big_delta, small_delta=opts.small_delta,
     )
-    cap = _lambda_cap(*_magnitudes(inst))
+    cap = None  # the runaway cap, computed only if doubling needs it
     crossed = not opts.screening  # the batched crossing step runs at most once
     picked = False  # state.lam is the crossing that step picked
 
@@ -281,10 +312,14 @@ def solve_dual_bisection(inst: OneSidedInstance,
             state.lambda_min = state.lam
             if math.isinf(state.lambda_max):
                 state.lam *= 2.0
-                if state.lam > cap:
-                    raise InfeasibleError(
-                        "dual descends beyond the runaway cap; instance is "
-                        "degenerate or numerically infeasible")
+                # The cap is at least LAMBDA_CAP_FACTOR, so the magnitudes
+                # are read only once lambda passes that.
+                if state.lam > LAMBDA_CAP_FACTOR:
+                    cap = cap or _lambda_cap(*_magnitudes(inst))
+                    if state.lam > cap:
+                        raise InfeasibleError(
+                            "dual descends beyond the runaway cap; instance is "
+                            "degenerate or numerically infeasible")
             else:
                 state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         else:
@@ -362,12 +397,14 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     the result in its Solution record, not JSON I/O."""
     t0 = time.perf_counter_ns()
     opts = opts or SolveOptions()
-    pre = precheck_feasibility(inst)
+    # The reduction runs on any instance; it tells the precheck which side
+    # of the range can miss [b1, b2].
+    red = reduce_two_sided(inst)
+    pre = precheck_feasibility(inst, red.kind)
     if not pre.feasible:
         raise InfeasibleError(
             f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre)
-    red = reduce_two_sided(inst)
     if red.kind == REDUCE_ALREADY_OPTIMAL:
         stats = SolveStats()
         stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3

@@ -125,13 +125,15 @@ class TestBenchCommand:
         capsys.readouterr()
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["m", "n", "algorithm", "mean_ms", "std_ms", "reps"]
+        assert rows[0] == ["m", "n", "algorithm", "mean_ms", "std_ms", "reps",
+                           "median_ms"]
         body = rows[1:]
         assert len(body) == 4  # two sizes x two algorithms
         assert [r[:3] for r in body] == [
             ["30", "3", ALG_BISECTION], ["30", "3", ALG_SCREENING],
             ["60", "3", ALG_BISECTION], ["60", "3", ALG_SCREENING]]
         assert all(r[5] == "3" for r in body)
+        assert all(float(r[6]) > 0.0 for r in body)
 
     def test_reference_timing_printed_for_known_sizes(self, capsys):
         assert (100, 10) in REFERENCE_SCREENING_MS

@@ -71,8 +71,12 @@ def _g(one, lam: float) -> float:
 
 
 def _solved(inst):
-    """Both option sets' solutions, or None when the precheck refuses."""
-    if not precheck_feasibility(inst).feasible:
+    """Both option sets' solutions, or None when the precheck refuses.
+    The one-sided precheck that solve() runs must agree with it."""
+    pre = precheck_feasibility(inst)
+    one_sided = precheck_feasibility(inst, reduce_two_sided(inst).kind)
+    assert one_sided.feasible == pre.feasible
+    if not pre.feasible:
         for opts in OPTIONS:
             with pytest.raises(InfeasibleError):
                 solve(inst, opts)

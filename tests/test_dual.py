@@ -1,12 +1,18 @@
 """Dual function values, one-sided derivatives, and kink geometry."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import divrank.dual as dual
 from conftest import random_one_sided_arrays
-from divrank.dual import (ActiveSet, OneSidedInstance, eval_dual, kink_left,
-                          kink_right, kink_tie_tol, lowest_crossing, trace_kinks)
+from divrank.dual import (PARALLEL_RTOL, ActiveSet, OneSidedInstance, eval_dual,
+                          kink_left, kink_right, kink_tie_tol, lowest_crossing,
+                          trace_kinks)
 from divrank.oracle import oracle_dual_breakpoints, oracle_kink_set
 
 
@@ -85,6 +91,86 @@ class TestKinkStepping:
             assert kr > lam
             if kl is not None:
                 assert 0.0 <= kl < lam
+
+
+def reference_offsets(ev, active, forward):
+    """Every positive crossing offset against the top set, from one
+    m x |top set| pass: the kink step before it was blocked."""
+    t_idx = dual._one_sided_top(ev, active, forward)
+    num = ev.z[:, None] - ev.z[t_idx][None, :]
+    den = active.a[:, None] - active.a[t_idx][None, :]
+    if not forward:
+        den = -den
+    a_tol = PARALLEL_RTOL * float(np.abs(active.a).max()) if active.a.size else 0.0
+    z_tol = ev.tau
+    valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
+    return num[valid] / den[valid]
+
+
+@st.composite
+def kink_cases(draw):
+    """(instance, active set, lam, tau) on grid scores: ties across the
+    rank-n cut, duplicated rows and parallel lines are all common."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, min(m, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    span = draw(st.integers(1, 6))
+    c = rng.integers(-4 * span, 4 * span + 1, size=m) * step
+    a = rng.integers(-span, span + 1, size=m) * step  # few slopes: parallels
+    dup = draw(st.integers(0, m // 2))
+    if dup:
+        src, dst = rng.integers(0, m, size=(2, dup))
+        c[dst], a[dst] = c[src], a[src]
+    inst = OneSidedInstance(c, a, np.linspace(1.0, 0.5, n), 0.0)
+    act = ActiveSet.full(inst)
+    if m > n and draw(st.booleans()):  # a screened active set
+        act = act.keep(np.sort(rng.permutation(m)[:draw(st.integers(n, m))]))
+    # lam at a crossing of two lines (a tie, often at the cut) or on a grid.
+    i, j = rng.integers(0, m, size=2)
+    if a[i] != a[j] and draw(st.booleans()):
+        lam = abs((c[i] - c[j]) / (a[i] - a[j]))
+    else:
+        lam = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5, 3.0)))
+    z = act.c - lam * act.a
+    tau = kink_tie_tol(z) if draw(st.booleans()) else 0.0
+    return inst, act, float(lam), tau
+
+
+class TestBlockedKinkStep:
+    @settings(max_examples=400)
+    @given(kink_cases())
+    def test_equals_one_pass_minimum_bit_for_bit(self, case):
+        inst, act, lam, tau = case
+        ev = eval_dual(inst, lam, act, tau=tau)
+        right = reference_offsets(ev, act, True)
+        left = reference_offsets(ev, act, False)
+        want_right = ev.lam + float(right.min()) if right.size else np.inf
+        want_left = ev.lam - float(left.min()) if left.size else None
+        if want_left is not None and want_left < 0.0:
+            want_left = None
+        top = dual._one_sided_top(ev, act, True).size
+        for block in (1, 7, top, 3 * top + 1, 1 << 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dual, "KINK_BLOCK", block)
+                assert kink_right(ev, act) == want_right, block
+                assert kink_left(ev, act) == want_left, block
+
+    def test_memory_is_bounded_at_large_m(self):
+        rng = np.random.default_rng(451)
+        m, n = 100_000, 10
+        inst, act = make(rng.normal(size=m), rng.normal(size=m),
+                         np.linspace(1.0, 0.1, n), 0.0)
+        ev = eval_dual(inst, 0.7, act)
+        # One m x n pass holds about 18 MiB of temporaries here.
+        for step in (kink_right, kink_left):
+            tracemalloc.start()
+            try:
+                step(ev, act)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (step.__name__, peak)
 
 
 class TestPiecewiseStructure:

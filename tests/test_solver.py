@@ -63,6 +63,37 @@ class TestPrecheck:
             assert pre.div_min == float(np.dot(inst.w, a_sorted[:n]))
             assert pre.div_max == float(np.dot(inst.w, a_sorted[::-1][:n]))
 
+    @pytest.mark.parametrize("b1, b2, kind", [
+        (-3.0, -2.0, REDUCE_UPPER),  # top candidate's a = 1 > b2 > div_min
+        (2.0, 3.0, REDUCE_LOWER_AS_UPPER),  # below b1 and so is div_max
+    ])
+    def test_infeasible_sides_report_the_full_range(self, b1, b2, kind):
+        inst = running_instance(b1, b2)
+        assert reduce_two_sided(inst).kind == kind
+        one_sided = precheck_feasibility(inst, kind)
+        assert one_sided == precheck_feasibility(inst)
+        assert (one_sided.div_min, one_sided.div_max) == (-1.0, 1.0)
+        with pytest.raises(InfeasibleError) as err:
+            solve(inst)
+        assert err.value.report == one_sided
+        assert str(err.value) == f"diversity range [-1, 1] misses [{b1:g}, {b2:g}]"
+
+    def test_one_sided_verdict_matches_two_sided(self):
+        seen = set()
+        for rep in range(300):
+            inst = random_tiny_instance((513, rep))
+            red = reduce_two_sided(inst)
+            full = precheck_feasibility(inst)
+            pre = precheck_feasibility(inst, red.kind)
+            assert pre.feasible == full.feasible
+            if pre.feasible:
+                assert pre.div_min in (None, full.div_min)
+                assert pre.div_max in (None, full.div_max)
+            else:
+                assert pre == full
+            seen.add((red.kind, pre.feasible))
+        assert len(seen) == 5  # every kind feasible, both sides infeasible
+
 
 class TestReduction:
     def test_upper_bound_binds(self):
@@ -118,6 +149,16 @@ class TestReduction:
             assert sol.objective == un.value
 
 
+@pytest.fixture
+def magnitude_calls(monkeypatch):
+    """One entry per call of the solver's max|c|, max|a| pass."""
+    calls = []
+    real = solver_module._magnitudes
+    monkeypatch.setattr(solver_module, "_magnitudes",
+                        lambda inst: calls.append(1) or real(inst))
+    return calls
+
+
 class TestBisection:
     def test_lands_on_kink(self):
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
@@ -168,6 +209,21 @@ class TestBisection:
         assert res.lambda_star is None
         lo, hi = res.bracket
         assert lo <= 0.5 <= hi
+
+    def test_runaway_cap_stops_doubling(self, magnitude_calls):
+        # b2 below every diversity: g falls forever. The cap is 1e12 *
+        # (1 + 1000), so doubling passes 1e12 ten times before it.
+        one = OneSidedInstance(np.array([1000.0, 0.0]), np.array([1.0, 0.5]),
+                               np.array([1.0]), 0.0)
+        with pytest.raises(InfeasibleError, match="runaway cap"):
+            solve_dual_bisection(one)
+        assert len(magnitude_calls) == 1
+
+    def test_magnitudes_read_once_per_solve(self, magnitude_calls):
+        for rep in range(10):
+            magnitude_calls.clear()
+            sol = solve(gen_synthetic(GenConfig(m=200, n=5, seed=(514, rep))))
+            assert len(magnitude_calls) == (sol.status != STATUS_UNCONSTRAINED)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
