@@ -26,8 +26,10 @@ REDUCE_UPPER = "upper"
 REDUCE_LOWER_AS_UPPER = "lower_as_upper"
 REDUCE_ALREADY_OPTIMAL = "already_optimal"
 
-# Runaway guard for the doubling phase, scaled by the score magnitudes.
-LAMBDA_CAP_FACTOR = 1e12
+# Doubling stops past this (rescaled) lambda and falls back to the bracket:
+# beyond it c - lambda * a keeps too few bits of c for g to be trusted. It
+# bounds precision, not feasibility.
+LAMBDA_LIMIT = 2.0 ** 41
 
 
 class InfeasibleError(Exception):
@@ -45,11 +47,12 @@ class BracketOnlyError(Exception):
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Whether [b1, b2] is reachable, with the extreme weighted diversities
-    over all assignments; an extreme a one-sided check skipped is None."""
+    over all assignments. solve() attaches it to InfeasibleError; the dual
+    search itself decides feasibility."""
 
     feasible: bool
-    div_min: Optional[float]
-    div_max: Optional[float]
+    div_min: float
+    div_max: float
 
 
 @dataclass(frozen=True)
@@ -124,28 +127,9 @@ def _div_max(inst: Instance) -> float:
     return float(np.dot(inst.w, high[::-1]))
 
 
-def precheck_feasibility(inst: Instance,
-                         kind: Optional[str] = None) -> FeasibilityReport:
+def precheck_feasibility(inst: Instance) -> FeasibilityReport:
     """Range of weighted diversity over all assignments, and whether it
-    meets [b1, b2].
-
-    Given the reduction's kind, only the side that can fail is checked. An
-    already optimal instance is feasible. On the upper side every
-    unconstrained optimum exceeds b2 >= b1, so div_max does too and the
-    range meets [b1, b2] iff div_min <= b2; on the lower-as-upper side,
-    likewise, iff div_max >= b1. When that side fails the full two-sided
-    report is returned.
-    """
-    if kind == REDUCE_ALREADY_OPTIMAL:
-        return FeasibilityReport(feasible=True, div_min=None, div_max=None)
-    if kind == REDUCE_UPPER:
-        div_min = _div_min(inst)
-        if div_min <= inst.b2:
-            return FeasibilityReport(feasible=True, div_min=div_min, div_max=None)
-    elif kind == REDUCE_LOWER_AS_UPPER:
-        div_max = _div_max(inst)
-        if div_max >= inst.b1:
-            return FeasibilityReport(feasible=True, div_min=None, div_max=div_max)
+    meets [b1, b2]."""
     div_min, div_max = _div_min(inst), _div_max(inst)
     feasible = max(inst.b1, div_min) <= min(inst.b2, div_max)
     return FeasibilityReport(feasible=feasible, div_min=div_min, div_max=div_max)
@@ -211,12 +195,6 @@ def _magnitudes(inst: OneSidedInstance) -> tuple[float, float]:
             max(float(inst.a.max()), -float(inst.a.min())))
 
 
-def _lambda_cap(c_max: float, a_max: float) -> float:
-    if a_max <= 0.0:
-        return math.inf
-    return LAMBDA_CAP_FACTOR * (1.0 + c_max / a_max)
-
-
 def _scale_exponent(c_max: float, a_max: float) -> int:
     """k such that 2**k is the power of two nearest c_max / a_max on a log
     scale; 0 when either is 0. Multiplying a by 2**k puts lambda* near the
@@ -277,6 +255,12 @@ def solve_dual_bisection(inst: OneSidedInstance,
     the first time it leaves at most n + SELECT_SLACK survivors, the next
     trial point is their crossing in the bracket where g is smallest, and a
     kink step from it follows whether or not the bracket is narrow.
+
+    The search decides feasibility: a closed bracket exhibits an assignment
+    with diversity at most b2, and with the unconstrained optimum above b2 it
+    spans the bound. If the first trial leaves the bracket open, one range
+    check, div_min > b2, raises InfeasibleError; otherwise doubling goes on
+    up to LAMBDA_LIMIT and ends with no lambda*.
     """
     opts = opts or SolveOptions()
     state = DualSearchState(
@@ -284,7 +268,6 @@ def solve_dual_bisection(inst: OneSidedInstance,
         active=ActiveSet.full(inst),
         big_delta=opts.big_delta, small_delta=opts.small_delta,
     )
-    cap = None  # the runaway cap, computed only if doubling needs it
     crossed = not opts.screening  # the batched crossing step runs at most once
     picked = False  # state.lam is the crossing that step picked
 
@@ -311,15 +294,12 @@ def solve_dual_bisection(inst: OneSidedInstance,
                                                (state.lam, state.lambda_max), state)
             state.lambda_min = state.lam
             if math.isinf(state.lambda_max):
+                # The first trial left the bracket open: settle feasibility.
+                if state.lam == 1.0 and _div_min(inst) > inst.b2:
+                    raise InfeasibleError("every assignment's diversity exceeds b2")
                 state.lam *= 2.0
-                # The cap is at least LAMBDA_CAP_FACTOR, so the magnitudes
-                # are read only once lambda passes that.
-                if state.lam > LAMBDA_CAP_FACTOR:
-                    cap = cap or _lambda_cap(*_magnitudes(inst))
-                    if state.lam > cap:
-                        raise InfeasibleError(
-                            "dual descends beyond the runaway cap; instance is "
-                            "degenerate or numerically infeasible")
+                if state.lam > LAMBDA_LIMIT:
+                    break
             else:
                 state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         else:
@@ -370,8 +350,9 @@ def recover_primal(lambda_star: Optional[float],
 def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
                       b1: float) -> tuple[PrimalMixture, float, float]:
     """Feasible mixture from an inexact bracket, with a weak-duality gap
-    bound. Only reachable when tracing never landed exactly. b1 is the lower
-    diversity bound expressed in the reduced sign convention."""
+    bound. Reached when the search ends without lambda*: at the iteration
+    cap, at a bracket narrower than small_delta, or past LAMBDA_LIMIT. b1 is
+    the lower diversity bound expressed in the reduced sign convention."""
     lo, hi = result.bracket
     lam_hat = hi if np.isfinite(hi) else lo
     z = result.state.active.c - lam_hat * result.state.active.a
@@ -382,29 +363,32 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
     # best original objective (they tie on (c - lam a)' X w).
     if max(b1, d1) > min(inst.b2, d2):
         # Give up on near-optimality: mix the global diversity extremes,
-        # which the precheck guarantees straddle the feasible band.
+        # which a closed bracket or the search's range check guarantees
+        # straddle the feasible band.
         order = np.argsort(inst.a, kind="stable")
         s1, s2 = order[:inst.n], order[::-1][:inst.n]
         d1 = float(np.dot(inst.w, inst.a[s1]))
         d2 = float(np.dot(inst.w, inst.a[s2]))
     mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
-    return mixture, max(0.0, ev.g - mixture.objective), lam_hat
+    # g(lam_hat) bounds the optimum in exact arithmetic. Rounding moves g, and
+    # any diversity judged against b2 (a move lam_hat multiplies), by a few
+    # units in the last place of the magnitudes involved.
+    c_max, a_max = _magnitudes(inst)
+    scale = (float(inst.w.sum()) * (c_max + 2.0 * lam_hat * a_max)
+             + lam_hat * abs(inst.b2) + abs(ev.g))
+    slack = (inst.n + 2) * math.ulp(1.0) * scale
+    return mixture, max(0.0, ev.g - mixture.objective) + slack, lam_hat
 
 
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
-    """Full pipeline. Raises InfeasibleError when no assignment satisfies
-    the diversity bounds. Wall time covers the whole call but for wrapping
-    the result in its Solution record, not JSON I/O."""
+    """Full pipeline. Raises InfeasibleError, with the attainable diversity
+    range, when no assignment satisfies the diversity bounds; the dual search
+    decides that, so feasible solves run no separate range pass. Wall time
+    covers the whole call but for wrapping the result in its Solution
+    record, not JSON I/O."""
     t0 = time.perf_counter_ns()
     opts = opts or SolveOptions()
-    # The reduction runs on any instance; it tells the precheck which side
-    # of the range can miss [b1, b2].
     red = reduce_two_sided(inst)
-    pre = precheck_feasibility(inst, red.kind)
-    if not pre.feasible:
-        raise InfeasibleError(
-            f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
-            f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre)
     if red.kind == REDUCE_ALREADY_OPTIMAL:
         stats = SolveStats()
         stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
@@ -416,7 +400,13 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     if shift:
         one = OneSidedInstance(one.c, np.ldexp(one.a, shift), one.w,
                                math.ldexp(one.b2, shift))
-    result = solve_dual_bisection(one, opts)
+    try:
+        result = solve_dual_bisection(one, opts)
+    except InfeasibleError:
+        pre = precheck_feasibility(inst)
+        raise InfeasibleError(
+            f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
+            f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre) from None
     if result.lambda_star is not None:
         mixture = recover_primal(result.lambda_star, result.evaluation, one)
         lambda_star = result.lambda_star

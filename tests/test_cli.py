@@ -81,6 +81,18 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["status"] == "Infeasible"
 
+    def test_far_kink_is_solved(self, tmp_path, capsys):
+        # Feasible, with lambda* = 2**50 past the doubling limit: the solve
+        # ends on its bracket and returns a feasible answer.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"m": 2, "n": 1, "c": [1.0, 0.0],
+                                    "a": [1.0 + 2.0 ** -50, 1.0], "w": [1.0],
+                                    "b1": -5.0, "b2": 1.0}), encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["objective"] == 0.0 and doc["diversity"] <= 1.0
+        assert doc["stats"]["exact"] is False
+
 
 class TestGenCommand:
     def test_gen_then_solve(self, tmp_path, capsys):

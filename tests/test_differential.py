@@ -72,14 +72,14 @@ def _g(one, lam: float) -> float:
 
 def _solved(inst):
     """Both option sets' solutions, or None when the precheck refuses.
-    The one-sided precheck that solve() runs must agree with it."""
+    solve() decides feasibility in its dual search; its verdict, and the
+    report it raises, must agree with the precheck."""
     pre = precheck_feasibility(inst)
-    one_sided = precheck_feasibility(inst, reduce_two_sided(inst).kind)
-    assert one_sided.feasible == pre.feasible
     if not pre.feasible:
         for opts in OPTIONS:
-            with pytest.raises(InfeasibleError):
+            with pytest.raises(InfeasibleError) as err:
                 solve(inst, opts)
+            assert err.value.report == pre
         return None
     sols = [solve(inst, opts) for opts in OPTIONS]
     for sol in sols:

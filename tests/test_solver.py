@@ -70,29 +70,183 @@ class TestPrecheck:
     def test_infeasible_sides_report_the_full_range(self, b1, b2, kind):
         inst = running_instance(b1, b2)
         assert reduce_two_sided(inst).kind == kind
-        one_sided = precheck_feasibility(inst, kind)
-        assert one_sided == precheck_feasibility(inst)
-        assert (one_sided.div_min, one_sided.div_max) == (-1.0, 1.0)
+        pre = precheck_feasibility(inst)
+        assert not pre.feasible
+        assert (pre.div_min, pre.div_max) == (-1.0, 1.0)
         with pytest.raises(InfeasibleError) as err:
             solve(inst)
-        assert err.value.report == one_sided
+        assert err.value.report == pre
         assert str(err.value) == f"diversity range [-1, 1] misses [{b1:g}, {b2:g}]"
 
     def test_one_sided_verdict_matches_two_sided(self):
+        # solve() checks only the side the reduction names, inside its dual
+        # search; its verdict and report equal the two-sided precheck's.
         seen = set()
         for rep in range(300):
             inst = random_tiny_instance((513, rep))
-            red = reduce_two_sided(inst)
-            full = precheck_feasibility(inst)
-            pre = precheck_feasibility(inst, red.kind)
-            assert pre.feasible == full.feasible
-            if pre.feasible:
-                assert pre.div_min in (None, full.div_min)
-                assert pre.div_max in (None, full.div_max)
-            else:
-                assert pre == full
-            seen.add((red.kind, pre.feasible))
+            kind = reduce_two_sided(inst).kind
+            pre = precheck_feasibility(inst)
+            for opts in (SolveOptions(), SolveOptions(screening=False)):
+                if pre.feasible:
+                    solve(inst, opts)
+                else:
+                    with pytest.raises(InfeasibleError) as err:
+                        solve(inst, opts)
+                    assert err.value.report == pre
+            seen.add((kind, pre.feasible))
         assert len(seen) == 5  # every kind feasible, both sides infeasible
+
+
+@pytest.fixture
+def div_min_calls(monkeypatch):
+    """One entry per smallest-diversity pass: the dual search's range check,
+    or the precheck behind an InfeasibleError's report."""
+    calls = []
+    real = solver_module._div_min
+    monkeypatch.setattr(solver_module, "_div_min",
+                        lambda inst: calls.append(1) or real(inst))
+    return calls
+
+
+def far_kink_instance():
+    """Feasible (objective 0 at candidate 1 alone), but the two score lines
+    cross only at lambda* = 2**50, past the doubling limit."""
+    return validate_instance(2, 1, [1.0, 0.0], [1.0 + 2.0 ** -50, 1.0], [1.0],
+                             -5.0, 1.0)
+
+
+def near_parallel_instance(key):
+    """m <= 7, n <= 3, c and a on a 0.1 grid with 0-2 units of 2**-k added
+    to a, for one k in [30, 52]: score lines parallel but for a few bits
+    cross at lambda up to about 2**53. b2 is the smallest vertex diversity."""
+    rng = np.random.default_rng(key)
+    m = int(rng.integers(1, 8))
+    n = int(rng.integers(1, min(m, 3) + 1))
+    c = np.round(rng.normal(size=m), 1)
+    k = int(rng.integers(30, 53))
+    a = np.round(rng.normal(size=m), 1) + rng.integers(0, 3, size=m) * 2.0 ** -k
+    w = strict_weights(rng, n)
+    b2 = float(np.dot(w, np.sort(a)[:n]))
+    return validate_instance(m, n, c, a, w, b2 - 1.0, b2)
+
+
+def rescaled(inst, i, j):
+    """inst with c times 2**i and a, b1, b2 times 2**j."""
+    return validate_instance(inst.m, inst.n, np.ldexp(inst.c, i),
+                             np.ldexp(inst.a, j), inst.w,
+                             math.ldexp(inst.b1, j), math.ldexp(inst.b2, j))
+
+
+class TestFeasibilityInSearch:
+    """solve() runs no precheck: a closed bracket proves feasibility, and a
+    bracket the first trial leaves open gets one range check."""
+
+    def test_far_kink_is_solved_not_refused(self):
+        inst = far_kink_instance()
+        bf = brute_force_tiny(inst)
+        assert bf.feasible and bf.objective == 0.0
+        for opts in (SolveOptions(), SolveOptions(screening=False)):
+            sol = solve(inst, opts)
+            assert sol.objective == bf.objective
+            assert inst.b1 <= sol.diversity <= inst.b2
+            assert not sol.stats.exact
+            assert sol.lambda_star == solver_module.LAMBDA_LIMIT
+            # g(2**41) = 1 - 2**-9, plus the rounding slack.
+            assert 1.0 - 2.0 ** -9 <= sol.stats.duality_gap <= 1.01
+
+    def test_near_parallel_family_is_never_refused(self):
+        inexact = 0
+        for rep in range(400):
+            inst = near_parallel_instance((520, rep))
+            bf = brute_force_tiny(inst)
+            if not (bf.feasible and precheck_feasibility(inst).feasible):
+                continue
+            for opts in (SolveOptions(), SolveOptions(screening=False)):
+                sol = solve(inst, opts)
+                tol = 1e-12 * (1.0 + abs(inst.b2))
+                assert inst.b1 <= sol.diversity <= inst.b2 + tol
+                if not sol.stats.exact:
+                    inexact += 1
+                    assert sol.objective + sol.stats.duality_gap >= bf.objective
+        assert inexact > 0
+
+    def test_fallback_gap_allows_for_rounding(self):
+        # a[1] exceeds a[2] by 8 ulps, so the lines of candidates 1 and 2
+        # cross near lambda = 2**49, and the two ways of summing diversity
+        # disagree in the last bit on whether slots (3, 4, 1) meet b2: the
+        # brute force admits them, the solver does not. At lam_hat = 2**41
+        # that one bit moves the bound by about 1e-3, which the gap covers.
+        a = [0.5, 0.30000000000000043, 0.3, -1.6999999999999995,
+             -0.19999999999999957]
+        w = [2.0534172384602307, 1.0867952166134134, 0.8251478470180061]
+        b2 = -3.460623994599672
+        inst = validate_instance(5, 3, [1.4, 0.0, -0.3, 0.2, 1.1], a, w,
+                                 b2 - 1.0, b2)
+        bf = brute_force_tiny(inst)
+        assert bf.slots1 == (3, 4, 1) and bf.rho == 1.0
+        for opts in (SolveOptions(), SolveOptions(screening=False)):
+            sol = solve(inst, opts)
+            assert not sol.stats.exact and sol.objective < bf.objective
+            assert sol.objective + sol.stats.duality_gap >= bf.objective
+
+    @pytest.mark.parametrize("i", [0, 200, -200, 498, -498])
+    @pytest.mark.parametrize("j", [0, 200, -200, 498, -498])
+    def test_range_check_is_exact_under_rescaling(self, i, j, div_min_calls):
+        mirror = validate_instance(3, 1, [3.0, 2.0, 0.0], [-1.0, 1.0, 0.0],
+                                   [1.0], 1.0, 3.0)
+        cases = [running_instance(-3.0, -2.0), running_instance(2.0, 3.0),
+                 running_instance(-3.0, -1.0), running_instance(-1.0, -1.0),
+                 mirror]
+        # lambda* = 2 on these, so the first trial leaves the bracket open;
+        # the bound sits on the vertex diversity or one ulp past it.
+        upper = [(-1.0, 0.5), (-1.0, math.nextafter(0.5, 0.0))]
+        lower = [(-0.5, 1.0), (math.nextafter(-0.5, 0.0), 1.0)]
+        doubling = [validate_instance(2, 1, [1.0, 0.0], [1.0, 0.5], [1.0], *b)
+                    for b in upper]
+        doubling += [validate_instance(2, 1, [1.0, 0.0], [-1.0, -0.5], [1.0], *b)
+                     for b in lower]
+        for k, base in enumerate(cases + doubling):
+            feasible = precheck_feasibility(base).feasible
+            inst = rescaled(base, i, j)
+            div_min_calls.clear()
+            try:
+                solve(inst)
+                verdict = True
+            except InfeasibleError:
+                verdict = False
+            assert verdict == feasible
+            if k >= len(cases) and feasible:
+                assert len(div_min_calls) == 1  # the check ran and passed
+
+    def test_feasible_solves_make_no_range_pass(self, div_min_calls,
+                                                 monkeypatch):
+        results = []
+        real = solver_module.solve_dual_bisection
+        monkeypatch.setattr(solver_module, "solve_dual_bisection",
+                            lambda *args: results.append(real(*args)) or results[-1])
+        for rep in range(20):
+            inst = gen_synthetic(GenConfig(m=200, n=5, seed=(521, rep)))
+            div_min_calls.clear()
+            sol = solve(inst)
+            assert sol.stats.exact
+            history = results[-1].state.bracket_history
+            # history[1] is the bracket the first trial left.
+            assert len(history) == 1 or math.isfinite(history[1][1])
+            assert len(div_min_calls) == 0
+        doubled = 0
+        for rep in range(100):
+            inst = near_parallel_instance((522, rep))
+            if not precheck_feasibility(inst).feasible:
+                continue
+            div_min_calls.clear()
+            solve(inst)
+            assert len(div_min_calls) <= 1
+            doubled += len(div_min_calls)
+        assert doubled > 0
+        div_min_calls.clear()
+        with pytest.raises(InfeasibleError):
+            solve(running_instance(-3.0, -2.0))
+        assert len(div_min_calls) == 2  # the search's check, then the report
 
 
 class TestReduction:
@@ -210,14 +364,19 @@ class TestBisection:
         lo, hi = res.bracket
         assert lo <= 0.5 <= hi
 
-    def test_runaway_cap_stops_doubling(self, magnitude_calls):
-        # b2 below every diversity: g falls forever. The cap is 1e12 *
-        # (1 + 1000), so doubling passes 1e12 ten times before it.
+    def test_runaway_cap_stops_doubling(self, magnitude_calls, monkeypatch):
+        # b2 below every diversity: g falls forever. The range check after
+        # the first trial raises before any doubling.
         one = OneSidedInstance(np.array([1000.0, 0.0]), np.array([1.0, 0.5]),
                                np.array([1.0]), 0.0)
-        with pytest.raises(InfeasibleError, match="runaway cap"):
+        evals = []
+        real = solver_module.eval_dual
+        monkeypatch.setattr(solver_module, "eval_dual",
+                            lambda *args, **kw: evals.append(1) or real(*args, **kw))
+        with pytest.raises(InfeasibleError, match="diversity exceeds b2"):
             solve_dual_bisection(one)
-        assert len(magnitude_calls) == 1
+        assert len(evals) == 1
+        assert len(magnitude_calls) == 0
 
     def test_magnitudes_read_once_per_solve(self, magnitude_calls):
         for rep in range(10):
