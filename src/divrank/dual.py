@@ -65,7 +65,8 @@ class ActiveSet(NamedTuple):
 
     def keep(self, rows: np.ndarray) -> "ActiveSet":
         """Survivors at the given positions."""
-        return ActiveSet(indices=self.indices[rows], c=self.c[rows], a=self.a[rows])
+        return ActiveSet(indices=self.indices.take(rows), c=self.c.take(rows),
+                         a=self.a.take(rows))
 
 
 class DualEvaluation(NamedTuple):
@@ -101,7 +102,8 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
     noise hides the expected tie.
     """
     n = inst.n
-    z = active.c - lam * active.a
+    z = active.a * -lam  # c + (-lam) a is c - lam a bit for bit, in one array
+    z += active.c
     ss = sort_scores(z, tau, n)
     g = float(inst.w.dot(ss.values[:n])) + inst.b2 * lam
     ts = top_n_with_ties(ss, n)

@@ -10,6 +10,7 @@ Instances are immutable after validation and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -129,20 +130,21 @@ def validate_instance(m, n, c, a, w, b1, b2) -> Instance:
         messages.append("b1/b2 must be real numbers")
         b1_f = b2_f = np.nan
 
-    for name, part in (("c", c_arr), ("a", a_arr), ("w", w_arr)):
-        if part is not None and not np.all(np.isfinite(part)):
-            errors.append(ERR_NON_FINITE)
-            messages.append(f"{name} contains non-finite entries")
-    bounds_finite = bool(np.isfinite(b1_f) and np.isfinite(b2_f))
+    non_finite = [name for name, part in (("c", c_arr), ("a", a_arr), ("w", w_arr))
+                  if part is not None and not np.isfinite(part).all()]
+    for name in non_finite:
+        errors.append(ERR_NON_FINITE)
+        messages.append(f"{name} contains non-finite entries")
+    bounds_finite = math.isfinite(b1_f) and math.isfinite(b2_f)
     if not bounds_finite:
         errors.append(ERR_NON_FINITE)
         messages.append("b1/b2 must be finite")
 
-    if w_arr is not None and np.all(np.isfinite(w_arr)):
-        if np.any(w_arr <= 0.0):
+    if w_arr is not None and "w" not in non_finite:
+        if (w_arr <= 0.0).any():
             errors.append(ERR_WEIGHTS_SIGN)
             messages.append("w must be strictly positive")
-        if w_arr.shape[0] > 1 and np.any(np.diff(w_arr) >= 0.0):
+        if (w_arr[1:] >= w_arr[:-1]).any():
             errors.append(ERR_WEIGHTS_ORDER)
             messages.append("w must be strictly decreasing")
 

@@ -35,7 +35,9 @@ class SortedScores(NamedTuple):
 
     When n was supplied, order and values may be a prefix of the full sort:
     they end with the group holding rank n, and every group up to that one
-    is exactly what the full sort gives.
+    is exactly what the full sort gives. The prefix comes from sorting only
+    the scores at or above a threshold, widened until the chain holding
+    rank n ends inside it.
     """
 
     order: np.ndarray
@@ -70,10 +72,13 @@ class TopSet(NamedTuple):
         return self.slots_in_tied == 0 and self.cut_group == self.top_end - 1
 
 
-# Candidates selected beyond rank n before sorting; the block grows by
-# SELECT_GROWTH while the tie chain holding rank n reaches its edge.
+# Selection aims its block at 2k scores, k = n + SELECT_SLACK, and grows k by
+# SELECT_GROWTH while the tie chain holding rank n reaches the block's edge.
 SELECT_SLACK = 32
 SELECT_GROWTH = 4
+# The threshold is the SAMPLE_RANK-th largest of every step-th score, with
+# step = 2k // SAMPLE_RANK, so about 2k scores lie at or above it.
+SAMPLE_RANK = 4
 
 
 def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int | None,
@@ -102,11 +107,27 @@ def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int | None,
     return SortedScores(order, values, bounds[:-1], bounds[1:], tau, boundary)
 
 
+def _sampled_threshold(pool: np.ndarray, target: int) -> float:
+    """A score with about `target` scores of pool at or above it, read off a
+    strided sample; the smallest score when pool holds at most target."""
+    if pool.shape[0] <= target:
+        return pool.min()
+    sample = pool[::target // SAMPLE_RANK].copy()
+    sample.partition(sample.shape[0] - SAMPLE_RANK)
+    return sample[-SAMPLE_RANK]
+
+
 def sort_scores(z: np.ndarray, tau: float = 0.0, n: int | None = None) -> SortedScores:
     """Sort scores descending and split into tie groups at gap > tau.
 
     With n, only a block of the largest scores a little past rank n is
-    selected (O(m)) and sorted; see SortedScores for what that returns.
+    sorted; see SortedScores for what that returns. The block is every
+    score at or above a threshold read off a strided sample (O(m)), so
+    nothing outside it ties a member, and an exact tie group is never cut
+    at its edge. When the sample misjudges the layout and the block comes
+    out large, the scores strictly above the threshold are searched again
+    if they still hold rank n; otherwise rank n ties the threshold and the
+    whole block belongs to the answer.
     """
     z = np.asarray(z, dtype=np.float64)
     tau = float(tau)
@@ -114,15 +135,29 @@ def sort_scores(z: np.ndarray, tau: float = 0.0, n: int | None = None) -> Sorted
     if n is None or not 1 <= n <= m:
         return _grouped(z, (-z).argsort(kind="stable"), tau, None, False)
     k = n + SELECT_SLACK
-    while k < m:
-        # Everything outside the block is <= its smallest member, so the
-        # block sorted by (-z, index) starts like the full stable sort.
-        block = z.argpartition(m - k)[m - k:]
-        block.sort()
-        ss = _grouped(z, block[(-z[block]).argsort(kind="stable")], tau, n, True)
+    # The sample's source: every score, or only those above a threshold
+    # that let in too many.
+    pool = z
+    while 2 * k < m:
+        t = _sampled_threshold(pool, 2 * k)
+        block = (z >= t).nonzero()[0]
+        if block.shape[0] > SELECT_GROWTH * k:
+            above = block[z[block] > t]
+            if above.shape[0] >= n:
+                pool = z[above]  # strictly smaller: t itself is gone
+                continue
+        elif block.shape[0] < n:
+            k *= SELECT_GROWTH
+            continue
+        # Ascending indices, so the stable sort breaks ties by index. Scores
+        # outside lie strictly below the block, so at tau = 0 no tie chain
+        # runs past its edge.
+        ss = _grouped(z, block[(-z[block]).argsort(kind="stable")], tau, n,
+                      tau > 0.0 and block.shape[0] < m)
         if ss is not None:
             return ss
         k *= SELECT_GROWTH
+        pool = z
     return _grouped(z, (-z).argsort(kind="stable"), tau, n, False)
 
 

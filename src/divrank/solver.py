@@ -26,6 +26,10 @@ REDUCE_UPPER = "upper"
 REDUCE_LOWER_AS_UPPER = "lower_as_upper"
 REDUCE_ALREADY_OPTIMAL = "already_optimal"
 
+# The pre-screen picks its witnesses from a strided sample of about this
+# many candidates.
+PRESCREEN_SAMPLE = 8192
+
 # Doubling stops past this (rescaled) lambda and falls back to the bracket:
 # beyond it c - lambda * a keeps too few bits of c for g to be trusted. It
 # bounds precision, not feasibility.
@@ -94,6 +98,9 @@ class DualSearchState:
     iterations: int = 0
     screen_events: int = 0
     dropped: list[np.ndarray] = field(default_factory=list)
+    # Survivor mask of the pre-screen over all m candidates, held until the
+    # first trial confirms its bracket [0, 1] and the next screen reports it.
+    prescreened: Optional[np.ndarray] = None
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -212,36 +219,68 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
                       ev: DualEvaluation) -> np.ndarray:
     """Drop candidates that miss the top n at both bracket endpoints.
 
-    ev is the evaluation over state.active at one endpoint of the bracket.
-    With i_1..i_n its top n and thresholds theta = min_k (c - lambda a)[i_k]
-    at each endpoint, any candidate strictly below both thresholds stays out
-    of the top n for every lambda in the bracket, hence carries zero weight
-    at the optimum. ev is evaluated with tau = 0, so at its endpoint the
-    candidates scoring at least theta, its n-th largest score, are exactly
-    its top set with boundary ties. The strict inequalities keep the top-n
-    witnesses themselves, so the active set never shrinks below n. Returns
-    the dropped original indices.
+    The rule holds for any witness set T of n candidates: the minimum of
+    their score lines is concave, so a candidate strictly below it at both
+    ends of the bracket has n lines above it everywhere inside, stays out of
+    the top n, and carries zero weight at the optimum. Here T is the top n
+    of ev, the evaluation over state.active at one endpoint; ev is evaluated
+    with tau = 0, so at its endpoint the candidates scoring at least the
+    threshold, its n-th largest score, are exactly its top set with boundary
+    ties. The strict inequalities keep the witnesses themselves, so the
+    active set never shrinks below n. Drops of the pre-screen (see
+    _prescreen), held back until the first trial confirms its bracket
+    [0, 1], are reported with this call's. Returns the dropped original
+    indices.
     """
     act = state.active
     n = inst.n
-    if not math.isfinite(state.lambda_max) or act.size <= n:
+    # Survivor mask over all m while the pre-screen's drops are unreported.
+    full, state.prescreened = state.prescreened, None
+    dropped = None
+    if math.isfinite(state.lambda_max) and act.size > n:
+        other = state.lambda_max if ev.lam == state.lambda_min else state.lambda_min
+        # At lambda = 0 the scores c - 0 * a compare exactly as c does.
+        v = act.c - other * act.a if other else act.c
+        kept = v >= v[ev.sorted.order[:n]].min()
+        kept[ev.sorted.order[:ev.topset.top_end]] = True
+        keep = kept.nonzero()[0]
+        if keep.shape[0] < act.size:
+            # Positional indexing beats a boolean mask when many drop.
+            gone = act.indices.take((~kept).nonzero()[0])
+            if full is None:
+                dropped = gone
+            else:
+                full[gone] = False
+            state.active = act.keep(keep)
+    if full is not None:
+        dropped = (~full).nonzero()[0]
+    if dropped is None or dropped.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    other = state.lambda_max if ev.lam == state.lambda_min else state.lambda_min
-    # At lambda = 0 the scores c - 0 * a compare exactly as c does.
-    v = act.c - other * act.a if other else act.c
-    kept = v >= v[ev.sorted.order[:n]].min()
-    kept[ev.sorted.order[:ev.topset.top_end]] = True
-    keep = kept.nonzero()[0]
-    if keep.shape[0] == act.size:
-        return np.empty(0, dtype=np.intp)
-    # Positional indexing beats a boolean mask when many candidates drop.
-    dropped = act.indices[(~kept).nonzero()[0]]
-    state.active = act.keep(keep)
     state.screen_events += 1
     state.dropped.append(dropped)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("screened %d candidates, %d remain", dropped.size, state.active.size)
     return dropped
+
+
+def _prescreen(inst: OneSidedInstance) -> tuple[ActiveSet, np.ndarray]:
+    """Survivors of screen_candidates' rule over [0, 1], and their mask
+    over all m. The witnesses are the n candidates whose smaller end score,
+    min(c, c - a), is largest among every step-th candidate, where step
+    keeps that sample near PRESCREEN_SAMPLE: such a witness set has both
+    of its thresholds high. Survivors keep ascending index order and every
+    candidate scoring at least the n-th largest at lambda = 1, so an
+    evaluation at 1 over them equals the full-width one."""
+    c = inst.c
+    z = c - inst.a  # bit for bit eval_dual's c + (-1) a
+    step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
+    q = np.minimum(c[::step], z[::step])
+    cut = q.shape[0] - inst.n
+    witness = q.argpartition(cut)[cut:] * step
+    kept = c >= c[witness].min()
+    kept |= z >= z[witness].min()
+    keep = kept.nonzero()[0]
+    return ActiveSet(keep, c.take(keep), inst.a.take(keep)), kept
 
 
 def solve_dual_bisection(inst: OneSidedInstance,
@@ -255,6 +294,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
     the first time it leaves at most n + SELECT_SLACK survivors, the next
     trial point is their crossing in the bracket where g is smallest, and a
     kink step from it follows whether or not the bracket is narrow.
+    Screening starts before the first trial at lambda = 1, over the
+    provisional bracket [0, 1]; if that trial leaves the bracket open, the
+    survivors are discarded and doubling runs on all m candidates.
 
     The search decides feasibility: a closed bracket exhibits an assignment
     with diversity at most b2, and with the unconstrained optimum above b2 it
@@ -263,10 +305,14 @@ def solve_dual_bisection(inst: OneSidedInstance,
     up to LAMBDA_LIMIT and ends with no lambda*.
     """
     opts = opts or SolveOptions()
+    if opts.screening:
+        active, prescreened = _prescreen(inst)
+    else:
+        active, prescreened = ActiveSet.full(inst), None
     state = DualSearchState(
-        lambda_min=0.0, lambda_max=np.inf, lam=1.0,
-        active=ActiveSet.full(inst),
+        lambda_min=0.0, lambda_max=np.inf, lam=1.0, active=active,
         big_delta=opts.big_delta, small_delta=opts.small_delta,
+        prescreened=prescreened,
     )
     crossed = not opts.screening  # the batched crossing step runs at most once
     picked = False  # state.lam is the crossing that step picked
@@ -276,6 +322,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
         ev = eval_dual(inst, state.lam, state.active, tau=0.0)
         state.iterations += 1
         if _optimal(ev):
+            if state.prescreened is not None:
+                screen_candidates(state, inst, ev)
             return BisectionResult(state.lam, ev,
                                    (state.lambda_min, state.lambda_max), state)
         narrow = picked or (state.big_delta is not None
@@ -294,9 +342,13 @@ def solve_dual_bisection(inst: OneSidedInstance,
                                                (state.lam, state.lambda_max), state)
             state.lambda_min = state.lam
             if math.isinf(state.lambda_max):
-                # The first trial left the bracket open: settle feasibility.
-                if state.lam == 1.0 and _div_min(inst) > inst.b2:
-                    raise InfeasibleError("every assignment's diversity exceeds b2")
+                # The first trial left the bracket open: settle feasibility,
+                # and drop the pre-screen, whose bracket [0, 1] was wrong.
+                if state.lam == 1.0:
+                    if _div_min(inst) > inst.b2:
+                        raise InfeasibleError("every assignment's diversity exceeds b2")
+                    if state.prescreened is not None:
+                        state.active, state.prescreened = ActiveSet.full(inst), None
                 state.lam *= 2.0
                 if state.lam > LAMBDA_LIMIT:
                     break
@@ -347,12 +399,24 @@ def recover_primal(lambda_star: Optional[float],
                         evaluation.min_div, evaluation.max_div, inst.b2)
 
 
+def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
+                        c_max: float, a_max: float) -> float:
+    """How far rounding can move g(lam), and a diversity judged against b2
+    (a move lam multiplies): a few units in the last place of the
+    magnitudes involved, with c_max, a_max = max|c|, max|a| of inst."""
+    scale = (float(inst.w.sum()) * (c_max + 2.0 * lam * a_max)
+             + lam * abs(inst.b2) + abs(g))
+    return (inst.n + 2) * math.ulp(1.0) * scale
+
+
 def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
-                      b1: float) -> tuple[PrimalMixture, float, float]:
+                      b1: float, c_max: float,
+                      a_max: float) -> tuple[PrimalMixture, float, float]:
     """Feasible mixture from an inexact bracket, with a weak-duality gap
     bound. Reached when the search ends without lambda*: at the iteration
     cap, at a bracket narrower than small_delta, or past LAMBDA_LIMIT. b1 is
-    the lower diversity bound expressed in the reduced sign convention."""
+    the lower diversity bound expressed in the reduced sign convention;
+    c_max, a_max are max|c|, max|a| of inst."""
     lo, hi = result.bracket
     lam_hat = hi if np.isfinite(hi) else lo
     z = result.state.active.c - lam_hat * result.state.active.a
@@ -370,13 +434,8 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
         d1 = float(np.dot(inst.w, inst.a[s1]))
         d2 = float(np.dot(inst.w, inst.a[s2]))
     mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
-    # g(lam_hat) bounds the optimum in exact arithmetic. Rounding moves g, and
-    # any diversity judged against b2 (a move lam_hat multiplies), by a few
-    # units in the last place of the magnitudes involved.
-    c_max, a_max = _magnitudes(inst)
-    scale = (float(inst.w.sum()) * (c_max + 2.0 * lam_hat * a_max)
-             + lam_hat * abs(inst.b2) + abs(ev.g))
-    slack = (inst.n + 2) * math.ulp(1.0) * scale
+    # g(lam_hat) bounds the optimum in exact arithmetic; rounding moves it.
+    slack = _rounding_allowance(inst, lam_hat, ev.g, c_max, a_max)
     return mixture, max(0.0, ev.g - mixture.objective) + slack, lam_hat
 
 
@@ -396,10 +455,12 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
                         mixture=red.mixture, stats=stats)
 
     one = red.one_sided
-    shift = _scale_exponent(*_magnitudes(one))
+    c_max, a_max = _magnitudes(one)
+    shift = _scale_exponent(c_max, a_max)
     if shift:
         one = OneSidedInstance(one.c, np.ldexp(one.a, shift), one.w,
                                math.ldexp(one.b2, shift))
+        a_max = math.ldexp(a_max, shift)
     try:
         result = solve_dual_bisection(one, opts)
     except InfeasibleError:
@@ -411,11 +472,14 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         mixture = recover_primal(result.lambda_star, result.evaluation, one)
         lambda_star = result.lambda_star
         exact = True
-        gap = 0.0
+        # Strong duality makes the two equal in exact arithmetic.
+        g = result.evaluation.g
+        gap = abs(g - mixture.objective) + _rounding_allowance(
+            one, lambda_star, g, c_max, a_max)
     else:
         b1_red = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
         mixture, gap, lambda_star = _bracket_fallback(
-            one, result, math.ldexp(b1_red, shift))
+            one, result, math.ldexp(b1_red, shift), c_max, a_max)
         exact = False
         log.warning("bisection ended with bracket %s; returning endpoint "
                     "assignment with duality gap <= %.3g", result.bracket, gap)

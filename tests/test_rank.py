@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_weights
-from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SELECT_SLACK,
-                          SortedScores, extremal_diversity, sort_scores,
+from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SAMPLE_RANK,
+                          SELECT_SLACK, SortedScores, extremal_diversity, sort_scores,
                           solve_unconstrained, top_n_with_ties,
                           unconstrained_extremes)
 from divrank.model import validate_instance
@@ -74,6 +74,49 @@ def scores_and_cut(draw):
     return rng.permutation(z), tau, n
 
 
+def assert_selection_matches(z, tau, n, ref, g):
+    """sort_scores(z, tau, n) ends with the group holding rank n, and
+    everything up to it is what the full sort `ref` gives."""
+    ss = sort_scores(z, tau, n)
+    top_end = int(ref.ends[g])
+    assert ss.order.tolist() == ref.order[:top_end].tolist()
+    assert ss.values.tolist() == ref.values[:top_end].tolist()
+    assert ss.starts.tolist() == ref.starts[:g + 1].tolist()
+    assert ss.ends.tolist() == ref.ends[:g + 1].tolist()
+    assert ss.boundary_group == ref.boundary_group
+    ts, ts_ref = top_n_with_ties(ss, n), top_n_with_ties(ref, n)
+    assert ts.certain.tolist() == ts_ref.certain.tolist()
+    assert ts.tied.tolist() == ts_ref.tied.tolist()
+    assert (ts.slots_in_tied, ts.top_end, ts.cut_group) == (
+        ts_ref.slots_in_tied, ts_ref.top_end, ts_ref.cut_group)
+    a = np.random.default_rng(n).normal(size=z.shape[0])
+    w = np.linspace(2.0, 1.0, n)
+    for direction in (MIN_DIVERSITY, MAX_DIVERSITY):
+        val, slots = extremal_diversity(ss, ts, a, w, direction)
+        val_ref, slots_ref = extremal_diversity(ref, ts_ref, a, w, direction)
+        assert val == val_ref and slots.tolist() == slots_ref.tolist()
+
+
+def large_layout(kind, m, rng):
+    """Scores at sizes where selection reads its threshold off a sample."""
+    if kind == "gaussian":
+        return rng.normal(size=m)
+    if kind == "ascending":
+        return np.arange(m, dtype=float)
+    if kind == "descending":
+        return np.arange(m, 0, -1, dtype=float)
+    if kind == "equal":
+        return np.full(m, 1.5)
+    if kind == "grid":
+        return np.round(rng.normal(size=m) * 4.0) / 4.0
+    # A plateau on every even index, which is all an even-strided sample
+    # sees, under 100 larger scores at odd indices; the other odd ones lie
+    # below the plateau.
+    z = np.where(np.arange(m) % 2 == 0, 0.0, -1.0 - rng.random(m))
+    z[rng.choice(np.arange(1, m, 2), 100, replace=False)] = 1.0 + rng.random(100)
+    return z
+
+
 class TestSelectionMatchesFullSort:
     @settings(max_examples=400)
     @given(scores_and_cut())
@@ -85,26 +128,41 @@ class TestSelectionMatchesFullSort:
         assert full.order.tolist() == ref.order.tolist()
         assert full.starts.tolist() == ref.starts.tolist()
         assert full.ends.tolist() == ref.ends.tolist()
-        ss = sort_scores(z, tau, n)
-        top_end = int(ref.ends[g])
-        # The arrays end with the group holding rank n; everything up to it
-        # is what the full sort gives.
-        assert ss.order.tolist() == ref.order[:top_end].tolist()
-        assert ss.values.tolist() == ref.values[:top_end].tolist()
-        assert ss.starts.tolist() == ref.starts[:g + 1].tolist()
-        assert ss.ends.tolist() == ref.ends[:g + 1].tolist()
-        assert ss.boundary_group == ref.boundary_group
-        ts, ts_ref = top_n_with_ties(ss, n), top_n_with_ties(ref, n)
-        assert ts.certain.tolist() == ts_ref.certain.tolist()
-        assert ts.tied.tolist() == ts_ref.tied.tolist()
-        assert (ts.slots_in_tied, ts.top_end, ts.cut_group) == (
-            ts_ref.slots_in_tied, ts_ref.top_end, ts_ref.cut_group)
-        a = np.random.default_rng(n).normal(size=z.shape[0])
-        w = np.linspace(2.0, 1.0, n)
-        for direction in (MIN_DIVERSITY, MAX_DIVERSITY):
-            val, slots = extremal_diversity(ss, ts, a, w, direction)
-            val_ref, slots_ref = extremal_diversity(ref, ts_ref, a, w, direction)
-            assert val == val_ref and slots.tolist() == slots_ref.tolist()
+        assert_selection_matches(z, tau, n, ref, g)
+
+    @pytest.mark.parametrize("m", [6000, 20000, 100000])
+    @pytest.mark.parametrize("kind", ["gaussian", "ascending", "descending",
+                                      "equal", "grid", "plateau"])
+    def test_sampled_threshold_layouts(self, kind, m):
+        z = large_layout(kind, m, np.random.default_rng((312, m)))
+        for n in (1, 10, 30):
+            # tau = 0, and the relative tolerance kink evaluations use.
+            for tau in (0.0, 1e-9 * float(np.abs(z).max())):
+                ref, g = full_sort_reference(z, tau, n)
+                assert_selection_matches(z, tau, n, ref, g)
+
+    def test_sample_holding_the_top_scores_widens(self):
+        # The top scores sit exactly where the strided sample looks, so the
+        # first threshold leaves fewer than n scores and k must grow.
+        m, n = 20_000, 10
+        step = 2 * (n + SELECT_SLACK) // SAMPLE_RANK
+        z = np.random.default_rng(313).random(m)
+        z[::step][:SAMPLE_RANK] = 10.0 - np.arange(SAMPLE_RANK)
+        assert (z >= z[(SAMPLE_RANK - 1) * step]).sum() < n
+        ref, g = full_sort_reference(z, 0.0, n)
+        assert_selection_matches(z, 0.0, n, ref, g)
+
+    def test_tau_chain_past_the_threshold_comes_back_whole(self):
+        # Ranks 5..5000 form one chain of gaps 0.9 tau, so every threshold
+        # block cuts it and selection must widen until the chain ends.
+        m, tau = 20_000, 1e-3
+        z = np.concatenate(([9.0, 8.0, 7.0, 6.0],
+                            5.0 - 0.9 * tau * np.arange(4996),
+                            -1.0 - np.arange(m - 5000, dtype=float)))
+        z = z[np.random.default_rng(314).permutation(m)]
+        ref, g = full_sort_reference(z, tau, 10)
+        assert (ref.starts[g], ref.ends[g]) == (4, 5000)
+        assert_selection_matches(z, tau, 10, ref, g)
 
     def test_distinct_scores_sort_only_a_block(self):
         z = np.random.default_rng(310).permutation(np.arange(100_000, dtype=float))

@@ -1,10 +1,14 @@
 """End-to-end solver: reduction, bisection, screening, primal recovery."""
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tiny_instance, rel_close, strict_weights
 from divrank.dual import ActiveSet, OneSidedInstance, eval_dual
@@ -130,6 +134,33 @@ def near_parallel_instance(key):
     return validate_instance(m, n, c, a, w, b2 - 1.0, b2)
 
 
+def exact_optimum(inst):
+    """The optimum over mixtures of two assignments with diversity in
+    [b1, b2], in exact rational arithmetic over the float data: the upper
+    concave hull of the vertices' (diversity, objective) points, read at its
+    peak moved into the band. None when no mixture reaches the band."""
+    c, a, w = ([Fraction(x) for x in arr] for arr in (inst.c, inst.a, inst.w))
+    best = {}
+    for perm in itertools.permutations(range(inst.m), inst.n):
+        div = sum(wj * a[i] for wj, i in zip(w, perm))
+        obj = sum(wj * c[i] for wj, i in zip(w, perm))
+        best[div] = max(obj, best.get(div, obj))
+    hull = []
+    for p in sorted(best.items()):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])):
+            hull.pop()
+        hull.append(p)
+    b1, b2 = Fraction(inst.b1), Fraction(inst.b2)
+    if b2 < hull[0][0] or b1 > hull[-1][0]:
+        return None
+    t = min(max(max(hull, key=lambda p: p[1])[0], b1), b2)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        if x0 <= t <= x1:
+            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    return hull[0][1]  # a single vertex
+
+
 def rescaled(inst, i, j):
     """inst with c times 2**i and a, b1, b2 times 2**j."""
     return validate_instance(inst.m, inst.n, np.ldexp(inst.c, i),
@@ -169,6 +200,30 @@ class TestFeasibilityInSearch:
                     inexact += 1
                     assert sol.objective + sol.stats.duality_gap >= bf.objective
         assert inexact > 0
+
+    def test_gap_covers_the_exact_optimum(self):
+        # At lambda* near 2**30 one ulp of a diversity sum moves g by about
+        # 1e-7, so an exact exit's answer can be that far off; the reported
+        # gap must say so. (915, 219) is one such draw.
+        keys = [(915, 219)] + [(523, rep) for rep in range(150)]
+        far = 0
+        for key in keys:
+            inst = near_parallel_instance(key)
+            opt = exact_optimum(inst)
+            if opt is None:
+                continue
+            for opts in (SolveOptions(), SolveOptions(screening=False)):
+                sol = solve(inst, opts)
+                if sol.stats.iterations == 0:
+                    # Answered by the reduction: no dual search, and an
+                    # objective off the exact one only by its own sum's rounding.
+                    continue
+                assert abs(Fraction(sol.objective) - opt) <= Fraction(sol.stats.duality_gap)
+                far += sol.stats.exact and sol.lambda_star > 2.0 ** 20
+        assert far > 0
+        sol = solve(near_parallel_instance((915, 219)))
+        assert sol.stats.exact and sol.lambda_star == 2.0 ** 30
+        assert sol.stats.duality_gap > 1e-7 * abs(sol.objective)
 
     def test_fallback_gap_allows_for_rounding(self):
         # a[1] exceeds a[2] by 8 ulps, so the lines of candidates 1 and 2
@@ -467,6 +522,161 @@ class TestScreening:
             assert not (set(dropped.tolist()) & sol.mixture.support())
 
 
+@st.composite
+def prescreen_cases(draw):
+    """One-sided instances with exact ties (coarse grids, duplicated rows),
+    constant a, n = m, and Gaussian scores scaled far from 1."""
+    m = draw(st.integers(1, 400))
+    n = draw(st.one_of(st.just(m), st.integers(1, min(m, 12))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("gaussian", "grid", "constant_a", "scaled")))
+    c, a = rng.normal(size=m), rng.normal(size=m)
+    if kind == "grid":
+        c, a = np.round(c * 2.0) / 2.0, np.round(a * 2.0) / 2.0
+        dup = rng.integers(0, m, size=(2, m // 3))
+        c[dup[1]], a[dup[1]] = c[dup[0]], a[dup[0]]
+    elif kind == "constant_a":
+        a = np.full(m, draw(st.sampled_from((0.0, -1.0, 2.0))))
+    elif kind == "scaled":
+        c = c * 2.0 ** draw(st.integers(-60, 60))
+    w = np.sort(rng.uniform(0.1, 2.0, size=n))[::-1] + np.arange(n, 0, -1) * 1e-3
+    return OneSidedInstance(c, a, w, float(rng.normal()))
+
+
+def _global_view(ev, active):
+    """Every field of an evaluation, in original indices."""
+    ss, ts = ev.sorted, ev.topset
+    idx = active.indices
+    return (ev.lam, ev.g, ev.g_minus, ev.g_plus, ev.min_div, ev.max_div,
+            ev.slots_min.tolist(), ev.slots_max.tolist(), ev.tau,
+            idx[ss.order].tolist(), ss.values.tolist(), ss.starts.tolist(),
+            ss.ends.tolist(), ss.tau, ss.boundary_group,
+            idx[ts.certain].tolist(), idx[ts.tied].tolist(), ts.slots_in_tied,
+            ts.top_end, ts.cut_group)
+
+
+def first_trial_optimal_instance():
+    """lambda* = 1, where candidates 0 and 1 cross; the pre-screen drops
+    candidates 2 and 3, and the first trial is optimal."""
+    return validate_instance(4, 1, [1.0, 0.5, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
+                             [1.0], -5.0, 0.75)
+
+
+def discard_path_instance():
+    """lambda* = 2, where candidates 0 and 1 cross. The pre-screen over
+    [0, 1] keeps only candidate 0, whose diversity 1 exceeds b2 = 0.75, so
+    the first trial at 1 leaves the bracket open."""
+    return validate_instance(4, 1, [1.0, 0.0, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
+                             [1.0], -5.0, 0.75)
+
+
+class TestPrescreen:
+    """Screening over [0, 1] before the first trial at lambda = 1."""
+
+    @settings(max_examples=300)
+    @given(prescreen_cases())
+    def test_first_trial_over_survivors_equals_full_width(self, one):
+        survivors, kept = solver_module._prescreen(one)
+        assert survivors.indices.tolist() == kept.nonzero()[0].tolist()
+        assert survivors.size >= one.n
+        full = ActiveSet.full(one)
+        assert (_global_view(eval_dual(one, 1.0, survivors), survivors)
+                == _global_view(eval_dual(one, 1.0, full), full))
+        # Sound on all of [0, 1]: every top-n member with boundary ties
+        # survives, ties at lambda = 0 included.
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+            ev = eval_dual(one, lam, full)
+            assert kept[ev.sorted.order[:ev.topset.top_end]].all()
+
+    @pytest.mark.parametrize("m, n", [(20_000, 10), (100_000, 30),
+                                      (20_000, 9_000), (9_000, 8_500)])
+    def test_sampled_witnesses_at_large_m(self, m, n):
+        # Past PRESCREEN_SAMPLE candidates the witnesses come from a strided
+        # sample, which must still hold n of them.
+        inst = gen_synthetic(GenConfig(m=m, n=n, seed=(530, m, n)))
+        one = reduce_two_sided(inst).one_sided
+        survivors, _ = solver_module._prescreen(one)
+        assert survivors.size < m
+        full = ActiveSet.full(one)
+        assert (_global_view(eval_dual(one, 1.0, survivors), survivors)
+                == _global_view(eval_dual(one, 1.0, full), full))
+
+    def test_discard_path_matches_both_oracles(self, monkeypatch):
+        sizes = []
+        real = solver_module.eval_dual
+        monkeypatch.setattr(solver_module, "eval_dual",
+                            lambda one, lam, act, tau=0.0:
+                            sizes.append(act.size) or real(one, lam, act, tau))
+        inst = discard_path_instance()
+        bf = brute_force_tiny(inst)
+        ora = oracle_dual_breakpoints(reduce_two_sided(inst).one_sided)
+        for opts in (SolveOptions(), SolveOptions(screening=False)):
+            sizes.clear()
+            sol = solve(inst, opts)
+            assert sol.stats.exact and sol.lambda_star == 2.0
+            assert sol.objective == bf.objective == ora.g_star == 0.5
+            assert sol.diversity == 0.75
+            assert sol.stats.dropped == 0
+        # Screened: one survivor at lambda = 1, then all four at 2.
+        sizes.clear()
+        solve(inst)
+        assert sizes == [1, 4]
+
+    def test_drops_reported_when_the_first_trial_is_optimal(self):
+        inst = first_trial_optimal_instance()
+        sol = solve(inst)
+        assert sol.stats.exact and sol.lambda_star == 1.0
+        assert sol.stats.iterations == 1
+        assert sol.objective == brute_force_tiny(inst).objective
+        assert sol.stats.dropped_indices.tolist() == [2, 3]
+
+    def test_dropped_and_active_partition_the_candidates(self):
+        for m in (40, 3000, 100_000):
+            inst = gen_synthetic(GenConfig(m=m, n=10, seed=(531, m)))
+            res = solve_dual_bisection(reduce_two_sided(inst).one_sided)
+            dropped = np.concatenate(res.state.dropped).tolist()
+            active = res.state.active.indices.tolist()
+            assert len(set(dropped)) == len(dropped)
+            assert not set(dropped) & set(active)
+            assert sorted(dropped + active) == list(range(m))
+
+
+@pytest.fixture
+def screen_reports(monkeypatch):
+    """Lengths of the arrays screen_candidates returns, the counts the
+    benchmark's tracer sums into its dropped and active-set metrics."""
+    lengths = []
+    real = solver_module.screen_candidates
+    monkeypatch.setattr(solver_module, "screen_candidates",
+                        lambda *args: lengths.append(len(out := real(*args))) or out)
+    return lengths
+
+
+class TestScreenReports:
+    def test_reported_drops_equal_stats(self, screen_reports, monkeypatch):
+        inst = gen_synthetic(GenConfig(m=100_000, n=10, seed=(532, 0)))
+        sol = solve(inst)
+        assert sol.stats.dropped > 0.99 * inst.m
+        assert sum(screen_reports) == sol.stats.dropped
+        screen_reports.clear()
+        sol = solve(inst, SolveOptions(screening=False))
+        assert sum(screen_reports) == sol.stats.dropped == 0
+        # b2 just above the smallest diversity puts lambda* far past 1, so
+        # the pre-screen's survivors are discarded and drops come later.
+        lo = solver_module._div_min(inst)
+        tight = validate_instance(inst.m, inst.n, inst.c, inst.a, inst.w,
+                                  lo - 1.0, lo + 1e-3 * (inst.b2 - lo))
+        sizes = []
+        real = solver_module.eval_dual
+        monkeypatch.setattr(solver_module, "eval_dual",
+                            lambda one, lam, act, tau=0.0:
+                            sizes.append(act.size) or real(one, lam, act, tau))
+        screen_reports.clear()
+        sol = solve(tight)
+        assert sizes[0] < inst.m and sizes[1] == inst.m  # the discard path
+        assert sum(screen_reports) == sol.stats.dropped > 0
+
+
 class TestCrossingStep:
     """The batched step over the survivors' crossings only proposes a trial
     point; where it finds no crossing the search runs as plain bisection."""
@@ -590,7 +800,7 @@ class TestSolvePipeline:
         assert sol.objective == pytest.approx(2.75, abs=1e-12)
         assert sol.mixture.rho == pytest.approx(0.25, abs=1e-12)
         assert sol.diversity == pytest.approx(0.5, abs=1e-12)
-        assert sol.stats.exact and sol.stats.duality_gap == 0.0
+        assert sol.stats.exact and 0.0 < sol.stats.duality_gap <= 1e-14
 
     def test_slack_bounds(self):
         sol = solve(running_instance(-3.0, 3.0))
@@ -701,6 +911,18 @@ class TestSolvePipeline:
         # The reported answer underestimates the optimum by at most the gap.
         assert sol.objective + sol.stats.duality_gap >= 2.75 - 1e-12
 
+    def test_exact_gap_is_rounding_sized(self):
+        for m in (30, 300, 3000):
+            for n in (3, 10, 30):
+                if n > m:
+                    continue
+                for rep in range(4):
+                    inst = gen_synthetic(GenConfig(m=m, n=n, seed=(533, m, n, rep)))
+                    for opts in (SolveOptions(), SolveOptions(screening=False)):
+                        sol = solve(inst, opts)
+                        assert sol.stats.exact
+                        assert 0.0 < sol.stats.duality_gap <= 1e-12 * (1.0 + abs(sol.objective))
+
     def test_stats_populated(self):
         sol = solve(running_instance())
         assert sol.stats.iterations >= 1
@@ -738,6 +960,7 @@ class TestScoreScale:
         assert sol.objective == math.ldexp(base.objective, i)
         assert sol.diversity == math.ldexp(base.diversity, j)
         assert sol.lambda_star == math.ldexp(base.lambda_star, i - j)
+        assert sol.stats.duality_gap == math.ldexp(base.stats.duality_gap, i)
 
     @pytest.mark.parametrize("exp", [-150, -100, -50, 50, 100, 150])
     @pytest.mark.parametrize("scaled", ["c", "a"])
