@@ -67,14 +67,6 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        opts = SolveOptions(screening=not args.no_screening,
-                            big_delta=args.big_delta,
-                            small_delta=args.delta)
-    except ValueError as exc:
-        print(json.dumps({"status": "Invalid", "errors": ["Options"],
-                          "messages": [str(exc)]}), file=sys.stderr)
-        return EXIT_INVALID
-    try:
         inst = load_instance(args.input)
     except ValidationError as exc:
         print(json.dumps({"status": "Invalid", "errors": exc.errors,
@@ -85,7 +77,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                           "messages": [str(exc)]}), file=sys.stderr)
         return EXIT_INVALID
     try:
-        sol = solve(inst, opts)
+        sol = solve(inst, SolveOptions(screening=not args.no_screening))
     except InfeasibleError as exc:
         print(json.dumps({"status": STATUS_INFEASIBLE,
                           "messages": [str(exc)]}), file=sys.stderr)
@@ -234,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--output", default=None, help="solution JSON path (default stdout)")
     p_solve.add_argument("--no-screening", action="store_true",
                          help="disable candidate screening")
-    p_solve.add_argument("--delta", type=float, default=1e-10,
-                         help="bracket width giving up on exactness, on lambda "
-                              "after a is rescaled by the power of two nearest "
-                              "max|c|/max|a|")
-    p_solve.add_argument("--big-delta", type=float, default=None,
-                         help="bracket width enabling kink tracing, on the "
-                              "same rescaled lambda as --delta")
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance")

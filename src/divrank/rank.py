@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Instance
-
 MIN_DIVERSITY = "min"
 MAX_DIVERSITY = "max"
 
@@ -243,7 +241,3 @@ def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray) -> Uncon
         max_div, slots_max = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
     return UnconstrainedResult(value=value, min_div=min_div, max_div=max_div,
                                slots_min=slots_min, slots_max=slots_max)
-
-
-def solve_unconstrained(inst: Instance) -> UnconstrainedResult:
-    return unconstrained_extremes(inst.c, inst.a, inst.w)

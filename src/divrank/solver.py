@@ -17,7 +17,7 @@ from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
 from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
                     PrimalMixture, Solution, SolveStats)
-from .rank import SELECT_SLACK, solve_unconstrained
+from .rank import SELECT_SLACK, unconstrained_extremes
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,12 @@ PRESCREEN_SAMPLE = 8192
 # beyond it c - lambda * a keeps too few bits of c for g to be trusted. It
 # bounds precision, not feasibility.
 LAMBDA_LIMIT = 2.0 ** 41
+
+# The search gives up on exactness when the (rescaled) bracket is this
+# narrow, or after this many evaluations of g. The cap is a safety bound:
+# solves take at most a few dozen evaluations.
+BRACKET_FLOOR = 1e-10
+MAX_EVALUATIONS = 200
 
 
 class InfeasibleError(Exception):
@@ -61,30 +67,13 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the dual search.
-
-    big_delta: bracket width below which kink tracing is attempted; None
-      picks 1e-2 * (1 + lambda) at the first finite bracket.
-    small_delta: bracket width at which the search gives up on exactness.
-
-    solve() measures both widths on lambda after rescaling `a` by the power
-    of two nearest max|c| / max|a|; for scores of similar magnitude that
-    factor is 1.
-    """
+    """Options of the dual search: screening drops candidates that cannot
+    reach the top n inside the bracket. The search's bracket floor and
+    evaluation cap are fixed (BRACKET_FLOOR, MAX_EVALUATIONS), measured on
+    lambda after solve() rescales `a` by the power of two nearest
+    max|c| / max|a|."""
 
     screening: bool = True
-    big_delta: Optional[float] = None
-    small_delta: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        # Comparisons written so that NaN fails them.
-        if not 0.0 <= self.small_delta < np.inf:
-            raise ValueError("small_delta must be finite and >= 0")
-        if self.big_delta is not None and not self.big_delta > self.small_delta:
-            raise ValueError("big_delta must exceed small_delta")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -93,8 +82,6 @@ class DualSearchState:
     lambda_max: float
     lam: float
     active: ActiveSet
-    big_delta: Optional[float]
-    small_delta: float
     iterations: int = 0
     screen_events: int = 0
     dropped: list[np.ndarray] = field(default_factory=list)
@@ -170,7 +157,7 @@ def reduce_two_sided(inst: Instance) -> Reduction:
     vertex diversities are discrete, so the feasible witness may be a strict
     mixture of the two diversity extremes.
     """
-    un = solve_unconstrained(inst)
+    un = unconstrained_extremes(inst.c, inst.a, inst.w)
     if un.min_div > inst.b2:
         return Reduction(kind=REDUCE_UPPER,
                          one_sided=OneSidedInstance(inst.c, inst.a, inst.w, inst.b2))
@@ -205,7 +192,7 @@ def _magnitudes(inst: OneSidedInstance) -> tuple[float, float]:
 def _scale_exponent(c_max: float, a_max: float) -> int:
     """k such that 2**k is the power of two nearest c_max / a_max on a log
     scale; 0 when either is 0. Multiplying a by 2**k puts lambda* near the
-    scale of 1, where doubling from 1 and the absolute small_delta work,
+    scale of 1, where doubling from 1 and the absolute BRACKET_FLOOR work,
     and is exact in floating point. Computed from exponent and mantissa so
     that scaling c or a by a power of two shifts k by exactly that power."""
     if c_max == 0.0 or a_max == 0.0:
@@ -288,8 +275,10 @@ def solve_dual_bisection(inst: OneSidedInstance,
     """Minimize g over lambda >= 0.
 
     Bisection on the sign of the one-sided derivatives brackets the
-    minimizer; once the bracket is narrow, stepping to the nearest kink and
-    testing the subgradient condition there lands on lambda* exactly.
+    minimizer; once the bracket is narrower than 1e-2 (1 + lambda_max) at
+    the first closed bracket, stepping to the nearest kink on the side of
+    the minimum and testing the subgradient condition there, with the kink
+    tie tolerance, lands on lambda* exactly.
     Optional screening shrinks the active candidate set using the bracket;
     the first time it leaves at most n + SELECT_SLACK survivors, the next
     trial point is their crossing in the bracket where g is smallest, and a
@@ -302,22 +291,24 @@ def solve_dual_bisection(inst: OneSidedInstance,
     with diversity at most b2, and with the unconstrained optimum above b2 it
     spans the bound. If the first trial leaves the bracket open, one range
     check, div_min > b2, raises InfeasibleError; otherwise doubling goes on
-    up to LAMBDA_LIMIT and ends with no lambda*.
+    up to LAMBDA_LIMIT and ends with no lambda*. The search also ends with
+    no lambda* at a bracket BRACKET_FLOOR wide or after MAX_EVALUATIONS
+    evaluations of g.
     """
     opts = opts or SolveOptions()
     if opts.screening:
         active, prescreened = _prescreen(inst)
     else:
         active, prescreened = ActiveSet.full(inst), None
-    state = DualSearchState(
-        lambda_min=0.0, lambda_max=np.inf, lam=1.0, active=active,
-        big_delta=opts.big_delta, small_delta=opts.small_delta,
-        prescreened=prescreened,
-    )
+    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
+                            active=active, prescreened=prescreened)
+    # Bracket width below which a kink step follows each trial; fixed at
+    # the first closed bracket.
+    big_delta = None
     crossed = not opts.screening  # the batched crossing step runs at most once
     picked = False  # state.lam is the crossing that step picked
 
-    while state.iterations < opts.max_iterations:
+    while state.iterations < MAX_EVALUATIONS:
         state.bracket_history.append((state.lambda_min, state.lambda_max))
         ev = eval_dual(inst, state.lam, state.active, tau=0.0)
         state.iterations += 1
@@ -326,20 +317,29 @@ def solve_dual_bisection(inst: OneSidedInstance,
                 screen_candidates(state, inst, ev)
             return BisectionResult(state.lam, ev,
                                    (state.lambda_min, state.lambda_max), state)
-        narrow = picked or (state.big_delta is not None
-                            and state.lambda_max - state.lambda_min < state.big_delta)
+        # g_plus < 0: the minimum lies strictly to the right; else g_minus > 0
+        # and it lies strictly to the left.
+        forward = ev.g_plus < 0.0
+        if picked or (big_delta is not None
+                      and state.lambda_max - state.lambda_min < big_delta):
+            if forward:
+                k = kink_right(ev, state.active)
+            else:
+                k = kink_left(ev, state.active)
+                if k is None and state.lambda_min == 0.0:
+                    k = 0.0  # affine down to the boundary
+            # A kink nearer than half an ulp rounds onto state.lam itself;
+            # the kink tolerance still certifies it there.
+            if k is not None and math.isfinite(k):
+                zk = state.active.c - k * state.active.a
+                ev_k = eval_dual(inst, k, state.active, tau=kink_tie_tol(zk))
+                state.iterations += 1
+                if _optimal(ev_k):
+                    bracket = ((state.lam, state.lambda_max) if forward
+                               else (state.lambda_min, state.lam))
+                    return BisectionResult(k, ev_k, bracket, state)
         picked = False
-        if ev.g_plus < 0.0:
-            # Minimum lies strictly to the right.
-            if narrow:
-                kr = kink_right(ev, state.active)
-                if math.isfinite(kr) and kr > state.lam:
-                    zk = state.active.c - kr * state.active.a
-                    ev_k = eval_dual(inst, kr, state.active, tau=kink_tie_tol(zk))
-                    state.iterations += 1
-                    if _optimal(ev_k):
-                        return BisectionResult(kr, ev_k,
-                                               (state.lam, state.lambda_max), state)
+        if forward:
             state.lambda_min = state.lam
             if math.isinf(state.lambda_max):
                 # The first trial left the bracket open: settle feasibility,
@@ -355,21 +355,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
             else:
                 state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         else:
-            # g_minus > 0: minimum lies strictly to the left.
-            if narrow:
-                kl = kink_left(ev, state.active)
-                if kl is None and state.lambda_min == 0.0:
-                    kl = 0.0  # affine down to the boundary
-                if kl is not None and kl < state.lam:
-                    zk = state.active.c - kl * state.active.a
-                    ev_k = eval_dual(inst, kl, state.active, tau=kink_tie_tol(zk))
-                    state.iterations += 1
-                    if _optimal(ev_k):
-                        return BisectionResult(kl, ev_k,
-                                               (state.lambda_min, state.lam), state)
             state.lambda_max = state.lam
-            if state.big_delta is None:
-                state.big_delta = 1e-2 * (1.0 + state.lambda_max)
+            if big_delta is None:
+                big_delta = 1e-2 * (1.0 + state.lambda_max)
             state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         if opts.screening and math.isfinite(state.lambda_max):
             screen_candidates(state, inst, ev)
@@ -381,7 +369,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
                                        state.lambda_min, state.lambda_max)
                 if pick is not None:
                     state.lam, picked = pick, True
-        if state.lambda_max - state.lambda_min <= opts.small_delta:
+        if state.lambda_max - state.lambda_min <= BRACKET_FLOOR:
             break
 
     return BisectionResult(None, None, (state.lambda_min, state.lambda_max), state)
@@ -413,10 +401,10 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
                       b1: float, c_max: float,
                       a_max: float) -> tuple[PrimalMixture, float, float]:
     """Feasible mixture from an inexact bracket, with a weak-duality gap
-    bound. Reached when the search ends without lambda*: at the iteration
-    cap, at a bracket narrower than small_delta, or past LAMBDA_LIMIT. b1 is
-    the lower diversity bound expressed in the reduced sign convention;
-    c_max, a_max are max|c|, max|a| of inst."""
+    bound. Reached when the search ends without lambda*: after
+    MAX_EVALUATIONS, at a bracket BRACKET_FLOOR wide, or past LAMBDA_LIMIT.
+    b1 is the lower diversity bound expressed in the reduced sign
+    convention; c_max, a_max are max|c|, max|a| of inst."""
     lo, hi = result.bracket
     lam_hat = hi if np.isfinite(hi) else lo
     z = result.state.active.c - lam_hat * result.state.active.a

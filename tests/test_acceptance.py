@@ -15,7 +15,7 @@ from divrank.dual import (ActiveSet, OneSidedInstance, eval_dual,
                           kink_tie_tol, trace_kinks)
 from divrank.oracle import (brute_force_tiny, oracle_dual_breakpoints,
                             oracle_kink_set, oracle_support)
-from divrank.rank import solve_unconstrained
+from divrank.rank import unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
                             reduce_two_sided, solve)
 
@@ -107,7 +107,7 @@ class TestAcceptance:
         for rec in records:
             inst, sol, red = rec["inst"], rec["sol"], rec["red"]
             if red.kind == REDUCE_ALREADY_OPTIMAL:
-                g_val = solve_unconstrained(inst).value
+                g_val = unconstrained_extremes(inst.c, inst.a, inst.w).value
             else:
                 one = red.one_sided
                 g_val = eval_dual(one, sol.lambda_star,

@@ -64,16 +64,13 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INVALID
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flags", [["--big-delta", "1e-12"],
-                                       ["--delta", "-1"],
-                                       ["--big-delta", "nan"]])
-    def test_rejected_option_exits_2(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flag", ["--delta", "--big-delta"])
+    def test_bracket_widths_are_not_options(self, tmp_path, capsys, flag):
         inp = write_instance(tmp_path / "inst.json")
-        assert main(["solve", "--input", inp, *flags]) == EXIT_INVALID
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["status"] == "Invalid" and err["errors"] == ["Options"]
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", inp, flag, "1e-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_infeasible_exits_3(self, tmp_path, capsys):
         inp = write_instance(tmp_path / "inst.json", b1=2.0, b2=3.0)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from conftest import strict_weights
 from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SAMPLE_RANK,
                           SELECT_SLACK, SortedScores, extremal_diversity, sort_scores,
-                          solve_unconstrained, top_n_with_ties,
-                          unconstrained_extremes)
+                          top_n_with_ties, unconstrained_extremes)
 from divrank.model import validate_instance
 
 
@@ -359,7 +358,7 @@ class TestSolveUnconstrained:
     def test_unique_optimum(self):
         inst = validate_instance(3, 2, [3.0, 2.0, 0.0], [1.0, -1.0, 0.0],
                                  [2.0, 1.0], -10.0, 10.0)
-        un = solve_unconstrained(inst)
+        un = unconstrained_extremes(inst.c, inst.a, inst.w)
         assert un.value == 8.0
         assert un.slots_min.tolist() == un.slots_max.tolist() == [0, 1]
         assert un.min_div == un.max_div == 1.0
@@ -367,7 +366,7 @@ class TestSolveUnconstrained:
     def test_tied_scores_split_diversity(self):
         inst = validate_instance(3, 2, [3.0, 3.0, 0.0], [1.0, -1.0, 0.0],
                                  [2.0, 1.0], -10.0, 10.0)
-        un = solve_unconstrained(inst)
+        un = unconstrained_extremes(inst.c, inst.a, inst.w)
         assert un.value == 9.0
         assert un.min_div == -1.0 and un.slots_min.tolist() == [1, 0]
         assert un.max_div == 1.0 and un.slots_max.tolist() == [0, 1]
@@ -375,7 +374,7 @@ class TestSolveUnconstrained:
     def test_zero_diversity_scores(self):
         inst = validate_instance(3, 2, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
                                  [2.0, 1.0], -1.0, 1.0)
-        un = solve_unconstrained(inst)
+        un = unconstrained_extremes(inst.c, inst.a, inst.w)
         assert un.min_div == un.max_div == 0.0
 
     def test_distinct_scores_have_tight_top_set(self):

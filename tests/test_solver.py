@@ -16,7 +16,7 @@ from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            STATUS_UPPER_ACTIVE, default_weights,
                            validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
-from divrank.rank import solve_unconstrained, unconstrained_extremes
+from divrank.rank import unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             REDUCE_UPPER, DualSearchState, InfeasibleError,
                             SolveOptions, precheck_feasibility, recover_primal,
@@ -194,6 +194,7 @@ class TestFeasibilityInSearch:
                 continue
             for opts in (SolveOptions(), SolveOptions(screening=False)):
                 sol = solve(inst, opts)
+                assert sol.stats.iterations < solver_module.MAX_EVALUATIONS // 4
                 tol = 1e-12 * (1.0 + abs(inst.b2))
                 assert inst.b1 <= sol.diversity <= inst.b2 + tol
                 if not sol.stats.exact:
@@ -347,7 +348,7 @@ class TestReduction:
         inst0 = validate_instance(4, 2, [2.7, 2.7, 2.7, 1.3],
                                   [0.37, -1.13, 0.91, 0.2], [1.0, 0.63],
                                   -10.0, 10.0)
-        un = solve_unconstrained(inst0)
+        un = unconstrained_extremes(inst0.c, inst0.a, inst0.w)
         assert un.min_div < un.max_div
         rng = np.random.default_rng(510)
         for b1 in un.min_div + rng.uniform(1e-3, 1.0, 50) * (un.max_div - un.min_div):
@@ -411,10 +412,11 @@ class TestBisection:
                 assert ora.lambda_star <= hi * (1 + 1e-12) + 1e-12
             assert rel_close(res.lambda_star, ora.lambda_star, 1e-9)
 
-    def test_iteration_cap_falls_back_to_bracket(self):
+    def test_iteration_cap_falls_back_to_bracket(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_EVALUATIONS", 1)
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
-        res = solve_dual_bisection(one, SolveOptions(max_iterations=1))
+        res = solve_dual_bisection(one)
         assert res.lambda_star is None
         lo, hi = res.bracket
         assert lo <= 0.5 <= hi
@@ -439,19 +441,6 @@ class TestBisection:
             sol = solve(gen_synthetic(GenConfig(m=200, n=5, seed=(514, rep))))
             assert len(magnitude_calls) == (sol.status != STATUS_UNCONSTRAINED)
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(small_delta=-1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(big_delta=1e-12, small_delta=1e-10)
-        with pytest.raises(ValueError):
-            SolveOptions(max_iterations=0)
-        for small in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                SolveOptions(small_delta=small)
-        with pytest.raises(ValueError):
-            SolveOptions(big_delta=float("nan"))
-
 
 class TestScreening:
     def test_drops_only_doubly_dominated(self):
@@ -459,8 +448,7 @@ class TestScreening:
         a = np.array([1.0, -1.0, 0.0])
         one = OneSidedInstance(c, a, np.array([1.0]), 0.5)
         state = DualSearchState(lambda_min=0.4, lambda_max=0.6, lam=0.5,
-                                active=ActiveSet.full(one), big_delta=None,
-                                small_delta=1e-10)
+                                active=ActiveSet.full(one))
         ev = eval_dual(one, 0.4, state.active)
         assert ev.sorted.order[:1].tolist() == [0]
         dropped = screen_candidates(state, one, ev)
@@ -474,8 +462,7 @@ class TestScreening:
         one = OneSidedInstance(np.array([1.0, 2.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
                                np.array([1.0]), 0.5)
         state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
-                                active=ActiveSet.full(one), big_delta=None,
-                                small_delta=1e-10)
+                                active=ActiveSet.full(one))
         ev = eval_dual(one, 0.5, state.active)
         assert ev.topset.tied.tolist() == [0, 1]
         assert screen_candidates(state, one, ev).tolist() == [2]
@@ -485,8 +472,7 @@ class TestScreening:
         one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
                                np.array([1.0]), 0.5)
         state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
-                                active=ActiveSet.full(one), big_delta=None,
-                                small_delta=1e-10)
+                                active=ActiveSet.full(one))
         ev = eval_dual(one, 0.0, state.active)
         assert screen_candidates(state, one, ev).size == 0
 
@@ -495,8 +481,7 @@ class TestScreening:
         c = rng.normal(size=12)
         one = OneSidedInstance(c, np.zeros(12), np.array([1.0, 0.5]), 0.1)
         state = DualSearchState(lambda_min=0.3, lambda_max=0.9, lam=0.6,
-                                active=ActiveSet.full(one), big_delta=None,
-                                small_delta=1e-10)
+                                active=ActiveSet.full(one))
         top2 = np.argsort(-c, kind="stable")[:2]
         ev = eval_dual(one, 0.9, state.active)
         assert ev.sorted.order[:2].tolist() == top2.tolist()
@@ -849,8 +834,8 @@ class TestSolvePipeline:
                 sol = solve(inst)
             except InfeasibleError:
                 continue
-            if not sol.stats.exact:
-                continue
+            assert sol.stats.exact
+            assert sol.stats.iterations < solver_module.MAX_EVALUATIONS // 4
             assert inst.b1 - 1e-9 <= sol.diversity <= inst.b2 + 1e-9
             if sol.status == STATUS_UNCONSTRAINED:
                 assert sol.lambda_star == 0.0 and sol.mixture.rho == 1.0
@@ -874,6 +859,22 @@ class TestSolvePipeline:
                 continue
             assert bf.feasible
             assert rel_close(sol.objective, bf.objective, 1e-9)
+            assert sol.stats.iterations < solver_module.MAX_EVALUATIONS // 4
+
+    @pytest.mark.parametrize("key", [(7100, 1099), (7100, 1886), (7300, 1157),
+                                     (7300, 3614)])
+    def test_kink_rounding_onto_the_trial_is_exact(self, key):
+        # The crossing step's pick lands on a kink, and the kink step finds a
+        # crossing nearer than half an ulp, so it rounds back onto the pick.
+        # The kink tolerance certifies it there; refusing it would shrink the
+        # bracket to two adjacent floats and end in the fallback.
+        inst = random_tiny_instance(key)
+        ora = oracle_dual_breakpoints(reduce_two_sided(inst).one_sided)
+        for opts in (SolveOptions(), SolveOptions(screening=False)):
+            sol = solve(inst, opts)
+            assert sol.stats.exact
+            assert abs(sol.lambda_star - ora.lambda_star) <= 1e-12 * (1.0 + ora.lambda_star)
+            assert rel_close(sol.objective, brute_force_tiny(inst).objective, 1e-9)
 
     def test_weak_duality_random_lambdas(self):
         for rep in range(30):
@@ -902,9 +903,10 @@ class TestSolvePipeline:
             assert up.objective == pytest.approx(t * base.objective, rel=1e-9)
             assert up.mixture.support() == base.mixture.support()
 
-    def test_inexact_fallback_is_feasible_with_gap_bound(self):
+    def test_inexact_fallback_is_feasible_with_gap_bound(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_EVALUATIONS", 1)
         inst = running_instance()
-        sol = solve(inst, SolveOptions(max_iterations=1))
+        sol = solve(inst)
         assert not sol.stats.exact
         assert sol.stats.duality_gap >= 0.0
         assert inst.b1 - 1e-9 <= sol.diversity <= inst.b2 + 1e-9
