@@ -71,7 +71,10 @@ class ActiveSet(NamedTuple):
 
 class DualEvaluation(NamedTuple):
     """g and its one-sided derivatives at a point, with the extreme-diversity
-    maximizing assignments as slot arrays of original candidate indices."""
+    maximizing assignments as slot arrays of positions in the active set it
+    was evaluated over (active.indices maps them to candidates). They are
+    also the top sets just right (slots_min) and just left (slots_max) of
+    lam, which the kink step pairs against."""
 
     lam: float
     g: float
@@ -108,41 +111,26 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
     g = float(inst.w.dot(ss.values[:n])) + inst.b2 * lam
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, active.a, inst.w, MIN_DIVERSITY)
-    slots_min = active.indices[slots_min]
     if ts.unique:  # one optimal assignment
         max_div, slots_max = min_div, slots_min
     else:
         max_div, slots_max = extremal_diversity(ss, ts, active.a, inst.w, MAX_DIVERSITY)
-        slots_max = active.indices[slots_max]
     return DualEvaluation(float(lam), g, inst.b2 - max_div, inst.b2 - min_div,
                           z, ss, ts, min_div, max_div, slots_min, slots_max,
                           float(tau))
 
 
-def _one_sided_top(ev: DualEvaluation, active: ActiveSet,
-                   forward: bool) -> np.ndarray:
-    """Top-n membership on the requested side of ev.lam.
-
-    A boundary tie resolves directionally: moving right, the tied members
-    with the smallest diversity slope a stay on top (their scores decay
-    slowest); moving left, the largest. Members leaving on that side are
-    excluded so their below-the-cut crossings are not mistaken for kinks.
-    """
-    ts = ev.topset
-    if ts.slots_in_tied == 0:
-        return ev.sorted.order[:ts.top_end]
-    av = active.a[ts.tied]
-    if forward:
-        pick = np.argsort(av, kind="stable")[:ts.slots_in_tied]
-    else:
-        pick = np.argsort(-av, kind="stable")[:ts.slots_in_tied]
-    return np.concatenate((ts.certain, ts.tied[pick]))
-
-
 def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
                       forward: bool) -> float:
     """Smallest positive distance to a score-line crossing against the top
-    set; +inf when there is none.
+    set on the requested side of ev.lam; +inf when there is none.
+
+    That top set is ev's min-diversity assignment going right and its
+    max-diversity one going left: at a boundary tie, the tied members with
+    the smallest slope a stay on top moving right (their scores decay
+    slowest), the largest moving left, and those are the members each
+    extreme gives slots to. Members leaving on that side are excluded so
+    their below-the-cut crossings are not mistaken for kinks.
 
     A pair (i, j in top set) crosses at offset (z_i - z_j) / (a_i - a_j)
     going right, or (z_i - z_j) / (a_j - a_i) going left; only strictly
@@ -153,7 +141,7 @@ def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
     about KINK_BLOCK pairs for any m; every pair sees the same float
     operations in any block, so the minimum does not depend on the block.
     """
-    t_idx = _one_sided_top(ev, active, forward)
+    t_idx = ev.slots_min if forward else ev.slots_max
     z, a = ev.z, active.a
     z_top, a_top = z[t_idx], a[t_idx]
     a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())) if a.size else 0.0

@@ -21,21 +21,19 @@ MAX_DIVERSITY = "max"
 # like the frozen dataclasses elsewhere: one of each is built per dual
 # evaluation, and a frozen dataclass's __init__ takes about twice as long.
 class SortedScores(NamedTuple):
-    """Scores sorted non-increasing, with tie groups as ranges over `order`.
+    """The largest scores sorted non-increasing, through the tie group
+    holding rank n, with tie groups as ranges over `order`.
 
     order: local indices, score-descending, exact ties by ascending index.
     values: z[order].
     starts/ends: half-open tie-group ranges [starts[g], ends[g]) into order.
       Two adjacent sorted scores share a group when they differ by <= tau
       (single-linkage chaining).
-    boundary_group: group straddling the rank-n cut when n was supplied and
-      the cut splits a group, else None.
 
-    When n was supplied, order and values may be a prefix of the full sort:
-    they end with the group holding rank n, and every group up to that one
-    is exactly what the full sort gives. The prefix comes from sorting only
-    the scores at or above a threshold, widened until the chain holding
-    rank n ends inside it.
+    order and values are a prefix of the full sort, and every group in it
+    is exactly what the full sort gives; the last one holds rank n. The
+    prefix comes from sorting only the scores at or above a threshold,
+    widened until the chain holding rank n ends inside it.
     """
 
     order: np.ndarray
@@ -43,7 +41,6 @@ class SortedScores(NamedTuple):
     starts: np.ndarray
     ends: np.ndarray
     tau: float
-    boundary_group: int | None = None
 
 
 class TopSet(NamedTuple):
@@ -79,11 +76,11 @@ SELECT_GROWTH = 4
 SAMPLE_RANK = 4
 
 
-def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int | None,
+def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int,
              partial: bool) -> SortedScores | None:
-    """Tie groups over z[order]. With n, cut everything after the group
-    holding rank n; a partial order (the top block of a selection) yields
-    None when that group's chain reaches the block's edge."""
+    """Tie groups over z[order], cut after the group holding rank n; a
+    partial order (the top block of a selection) yields None when that
+    group's chain reaches the block's edge."""
     values = z[order]
     size = values.shape[0]
     # edge[i]: a group starts at i (i < size) or ends at i (i > 0).
@@ -91,18 +88,11 @@ def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int | None,
     edge[0] = edge[size] = True
     np.greater(values[:-1] - values[1:], tau, out=edge[1:size])
     bounds = edge.nonzero()[0]
-    boundary = None
-    if n is not None:
-        g = int(bounds.searchsorted(n))  # bounds[g]: end of the group holding rank n
-        end = int(bounds[g])
-        if end == size and partial:
-            return None
-        if end > n:
-            boundary = g - 1
-        bounds = bounds[:g + 1]
-        order = order[:end]
-        values = values[:end]
-    return SortedScores(order, values, bounds[:-1], bounds[1:], tau, boundary)
+    g = int(bounds.searchsorted(n))  # bounds[g]: end of the group holding rank n
+    end = int(bounds[g])
+    if end == size and partial:
+        return None
+    return SortedScores(order[:end], values[:end], bounds[:g], bounds[1:g + 1], tau)
 
 
 def _sampled_threshold(pool: np.ndarray, target: int) -> float:
@@ -115,23 +105,24 @@ def _sampled_threshold(pool: np.ndarray, target: int) -> float:
     return sample[-SAMPLE_RANK]
 
 
-def sort_scores(z: np.ndarray, tau: float = 0.0, n: int | None = None) -> SortedScores:
-    """Sort scores descending and split into tie groups at gap > tau.
+def sort_scores(z: np.ndarray, tau: float, n: int) -> SortedScores:
+    """The top of z, sorted descending and split into tie groups at gap >
+    tau, through the group holding rank n; n must lie in 1..len(z).
 
-    With n, only a block of the largest scores a little past rank n is
-    sorted; see SortedScores for what that returns. The block is every
-    score at or above a threshold read off a strided sample (O(m)), so
-    nothing outside it ties a member, and an exact tie group is never cut
-    at its edge. When the sample misjudges the layout and the block comes
-    out large, the scores strictly above the threshold are searched again
-    if they still hold rank n; otherwise rank n ties the threshold and the
-    whole block belongs to the answer.
+    Only a block of the largest scores a little past rank n is sorted; see
+    SortedScores for what that returns. The block is every score at or
+    above a threshold read off a strided sample (O(m)), so nothing outside
+    it ties a member, and an exact tie group is never cut at its edge.
+    When the sample misjudges the layout and the block comes out large,
+    the scores strictly above the threshold are searched again if they
+    still hold rank n; otherwise rank n ties the threshold and the whole
+    block belongs to the answer.
     """
     z = np.asarray(z, dtype=np.float64)
     tau = float(tau)
     m = z.shape[0]
-    if n is None or not 1 <= n <= m:
-        return _grouped(z, (-z).argsort(kind="stable"), tau, None, False)
+    if not 1 <= n <= m:
+        raise ValueError(f"n={n} out of range for {m} scores")
     k = n + SELECT_SLACK
     # The sample's source: every score, or only those above a threshold
     # that let in too many.
@@ -161,15 +152,10 @@ def sort_scores(z: np.ndarray, tau: float = 0.0, n: int | None = None) -> Sorted
 
 def top_n_with_ties(ss: SortedScores, n: int) -> TopSet:
     """Candidates competing for the top n slots: clean winners plus the
-    boundary tie group (members with at most n-1 strictly larger scores)."""
-    size = ss.order.shape[0]
-    if not 1 <= n <= size:
-        raise ValueError(f"n={n} out of range for {size} scores")
-    # Sorted with this n, the last group holds rank n; otherwise search.
+    boundary tie group (members with at most n-1 strictly larger scores).
+    ss comes from sort_scores with this n, so its last group holds rank n."""
     g = ss.starts.shape[0] - 1
-    if ss.starts[g] >= n:
-        g = int(ss.starts.searchsorted(n - 1, side="right")) - 1
-    end = int(ss.ends[g])
+    end = ss.order.shape[0]
     if end == n:
         return TopSet(ss.order[:n], ss.order[:0], 0, n, g)
     start = int(ss.starts[g])

@@ -101,24 +101,35 @@ class Reduction:
 
 @dataclass(frozen=True)
 class BisectionResult:
+    """The search's end: state.active is the set the evaluation ran over."""
+
     lambda_star: Optional[float]
     evaluation: Optional[DualEvaluation]
     bracket: tuple[float, float]
     state: DualSearchState
 
 
+def _extreme_slots(a: np.ndarray, n: int, *, largest: bool) -> np.ndarray:
+    """Positions of the n largest values of a, largest first, or of the n
+    smallest, smallest first, so the heaviest slot takes the most extreme
+    value; only those n are sorted."""
+    if largest:
+        cut = a.shape[0] - n
+        slots = a.argpartition(cut)[cut:]
+        return slots[(-a[slots]).argsort(kind="stable")]
+    slots = a.argpartition(n - 1)[:n]
+    return slots[a[slots].argsort(kind="stable")]
+
+
 def _div_min(inst: Instance) -> float:
     """Smallest weighted diversity: the heaviest slots take the smallest
-    diversity scores; only those n values are sorted."""
-    low = np.sort(np.partition(inst.a, inst.n - 1)[:inst.n])
-    return float(np.dot(inst.w, low))
+    diversity scores."""
+    return float(np.dot(inst.w, inst.a[_extreme_slots(inst.a, inst.n, largest=False)]))
 
 
 def _div_max(inst: Instance) -> float:
     """Largest weighted diversity, from the n largest diversity scores."""
-    cut = inst.m - inst.n
-    high = np.sort(np.partition(inst.a, cut)[cut:])
-    return float(np.dot(inst.w, high[::-1]))
+    return float(np.dot(inst.w, inst.a[_extreme_slots(inst.a, inst.n, largest=True)]))
 
 
 def precheck_feasibility(inst: Instance) -> FeasibilityReport:
@@ -202,22 +213,33 @@ def _scale_exponent(c_max: float, a_max: float) -> int:
     return ec - ea + round(math.log2(mc / ma))
 
 
+def _reaches_witnesses(z1: np.ndarray, z2: np.ndarray,
+                       witness: np.ndarray) -> np.ndarray:
+    """Screening rule: keep a candidate whose score at either end of the
+    bracket, z1 at one and z2 at the other, reaches the witness set's
+    minimum score there.
+
+    It is sound for any witness set T of n candidates: the minimum of their
+    score lines is concave, so a candidate strictly below it at both ends
+    has n lines above it everywhere inside, stays out of the top n, and
+    carries zero weight at the optimum. The witnesses themselves always
+    stay, so at least n candidates survive."""
+    kept = z1 >= z1[witness].min()
+    kept |= z2 >= z2[witness].min()
+    return kept
+
+
 def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
                       ev: DualEvaluation) -> np.ndarray:
     """Drop candidates that miss the top n at both bracket endpoints.
 
-    The rule holds for any witness set T of n candidates: the minimum of
-    their score lines is concave, so a candidate strictly below it at both
-    ends of the bracket has n lines above it everywhere inside, stays out of
-    the top n, and carries zero weight at the optimum. Here T is the top n
-    of ev, the evaluation over state.active at one endpoint; ev is evaluated
-    with tau = 0, so at its endpoint the candidates scoring at least the
-    threshold, its n-th largest score, are exactly its top set with boundary
-    ties. The strict inequalities keep the witnesses themselves, so the
-    active set never shrinks below n. Drops of the pre-screen (see
-    _prescreen), held back until the first trial confirms its bracket
-    [0, 1], are reported with this call's. Returns the dropped original
-    indices.
+    The rule is _reaches_witnesses' with T the top n of ev, the evaluation
+    over state.active at one endpoint; ev is evaluated with tau = 0, so at
+    its endpoint the candidates reaching T's minimum, the n-th largest
+    score, are exactly its top set with boundary ties. Drops of the
+    pre-screen (see _prescreen), held back until the first trial confirms
+    its bracket [0, 1], are reported with this call's. Returns the dropped
+    original indices.
     """
     act = state.active
     n = inst.n
@@ -228,8 +250,7 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
         other = state.lambda_max if ev.lam == state.lambda_min else state.lambda_min
         # At lambda = 0 the scores c - 0 * a compare exactly as c does.
         v = act.c - other * act.a if other else act.c
-        kept = v >= v[ev.sorted.order[:n]].min()
-        kept[ev.sorted.order[:ev.topset.top_end]] = True
+        kept = _reaches_witnesses(ev.z, v, ev.sorted.order[:n])
         keep = kept.nonzero()[0]
         if keep.shape[0] < act.size:
             # Positional indexing beats a boolean mask when many drop.
@@ -251,21 +272,19 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
 
 
 def _prescreen(inst: OneSidedInstance) -> tuple[ActiveSet, np.ndarray]:
-    """Survivors of screen_candidates' rule over [0, 1], and their mask
-    over all m. The witnesses are the n candidates whose smaller end score,
-    min(c, c - a), is largest among every step-th candidate, where step
-    keeps that sample near PRESCREEN_SAMPLE: such a witness set has both
-    of its thresholds high. Survivors keep ascending index order and every
-    candidate scoring at least the n-th largest at lambda = 1, so an
-    evaluation at 1 over them equals the full-width one."""
+    """Survivors of the screening rule (_reaches_witnesses) over [0, 1],
+    and their mask over all m. The witnesses are the n candidates whose
+    smaller end score, min(c, c - a), is largest among every step-th
+    candidate, where step keeps that sample near PRESCREEN_SAMPLE: such a
+    witness set has both of its thresholds high. Survivors keep ascending
+    index order and every candidate scoring at least the n-th largest at
+    lambda = 1, so an evaluation at 1 over them equals the full-width one."""
     c = inst.c
     z = c - inst.a  # bit for bit eval_dual's c + (-1) a
     step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
     q = np.minimum(c[::step], z[::step])
     cut = q.shape[0] - inst.n
-    witness = q.argpartition(cut)[cut:] * step
-    kept = c >= c[witness].min()
-    kept |= z >= z[witness].min()
+    kept = _reaches_witnesses(c, z, q.argpartition(cut)[cut:] * step)
     keep = kept.nonzero()[0]
     return ActiveSet(keep, c.take(keep), inst.a.take(keep)), kept
 
@@ -377,14 +396,17 @@ def solve_dual_bisection(inst: OneSidedInstance,
 
 def recover_primal(lambda_star: Optional[float],
                    evaluation: Optional[DualEvaluation],
-                   inst: OneSidedInstance) -> PrimalMixture:
+                   inst: OneSidedInstance, active: ActiveSet) -> PrimalMixture:
     """Mix the two diversity-extreme maximizers at lambda* so the upper
     bound holds with equality; both are dual-optimal, so the mixture's
-    objective equals g(lambda*) and strong duality is exact."""
+    objective equals g(lambda*) and strong duality is exact. active is the
+    set the evaluation ran over; its indices turn the evaluation's slot
+    positions into candidates."""
     if lambda_star is None or evaluation is None:
         raise BracketOnlyError("no exact lambda*; only a bracket is available")
-    return _mix_extremes(inst.c, inst.w, evaluation.slots_min, evaluation.slots_max,
-                        evaluation.min_div, evaluation.max_div, inst.b2)
+    return _mix_extremes(inst.c, inst.w, active.indices[evaluation.slots_min],
+                         active.indices[evaluation.slots_max],
+                         evaluation.min_div, evaluation.max_div, inst.b2)
 
 
 def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
@@ -407,9 +429,11 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
     convention; c_max, a_max are max|c|, max|a| of inst."""
     lo, hi = result.bracket
     lam_hat = hi if np.isfinite(hi) else lo
-    z = result.state.active.c - lam_hat * result.state.active.a
-    ev = eval_dual(inst, lam_hat, result.state.active, tau=kink_tie_tol(z))
-    s1, s2, d1, d2 = ev.slots_min, ev.slots_max, ev.min_div, ev.max_div
+    active = result.state.active
+    z = active.c - lam_hat * active.a
+    ev = eval_dual(inst, lam_hat, active, tau=kink_tie_tol(z))
+    s1, s2 = active.indices[ev.slots_min], active.indices[ev.slots_max]
+    d1, d2 = ev.min_div, ev.max_div
     # When the maximizing face at lam_hat reaches the feasible band, the
     # largest feasible diversity among mixtures of its extremes carries the
     # best original objective (they tie on (c - lam a)' X w).
@@ -417,8 +441,8 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
         # Give up on near-optimality: mix the global diversity extremes,
         # which a closed bracket or the search's range check guarantees
         # straddle the feasible band.
-        order = np.argsort(inst.a, kind="stable")
-        s1, s2 = order[:inst.n], order[::-1][:inst.n]
+        s1 = _extreme_slots(inst.a, inst.n, largest=False)
+        s2 = _extreme_slots(inst.a, inst.n, largest=True)
         d1 = float(np.dot(inst.w, inst.a[s1]))
         d2 = float(np.dot(inst.w, inst.a[s2]))
     mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
@@ -457,7 +481,8 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
             f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre) from None
     if result.lambda_star is not None:
-        mixture = recover_primal(result.lambda_star, result.evaluation, one)
+        mixture = recover_primal(result.lambda_star, result.evaluation, one,
+                                 result.state.active)
         lambda_star = result.lambda_star
         exact = True
         # Strong duality makes the two equal in exact arithmetic.

@@ -94,9 +94,10 @@ class TestKinkStepping:
 
 
 def reference_offsets(ev, active, forward):
-    """Every positive crossing offset against the top set, from one
-    m x |top set| pass: the kink step before it was blocked."""
-    t_idx = dual._one_sided_top(ev, active, forward)
+    """Every positive crossing offset against the top set on the given
+    side, ev's min- or max-diversity assignment, from one m x |top set|
+    pass: the kink step before it was blocked."""
+    t_idx = ev.slots_min if forward else ev.slots_max
     num = ev.z[:, None] - ev.z[t_idx][None, :]
     den = active.a[:, None] - active.a[t_idx][None, :]
     if not forward:
@@ -137,6 +138,46 @@ def kink_cases(draw):
     return inst, act, float(lam), tau
 
 
+@st.composite
+def tied_top_cases(draw):
+    """(instance, active set, lam) with ties across the rank-n cut common:
+    scores on a grid, duplicated rows, or a constant `a`, evaluated at grid
+    points where grid scores tie exactly."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    c = rng.integers(-8, 9, size=m) * step
+    a = rng.integers(-4, 5, size=m) * step
+    kind = draw(st.sampled_from(("grid", "duplicated", "constant_a")))
+    if kind == "duplicated":
+        src, dst = rng.integers(0, m, size=(2, max(m // 2, 1)))
+        c[dst], a[dst] = c[src], a[src]
+    elif kind == "constant_a":
+        a = np.full(m, draw(st.sampled_from((0.0, -1.0, 2.0))))
+    inst = OneSidedInstance(c, a, np.linspace(1.0, 0.5, n), 0.0)
+    act = ActiveSet.full(inst)
+    if m > n and draw(st.booleans()):  # a screened active set
+        act = act.keep(np.sort(rng.permutation(m)[:draw(st.integers(n, m))]))
+    return inst, act, draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0)))
+
+
+class TestExtremesAreOneSidedTopSets:
+    @settings(max_examples=400)
+    @given(tied_top_cases())
+    def test_slots_are_the_top_sets_beside_lam(self, case):
+        # Just right of lam the scores z - eps * a rank by z, then by
+        # ascending a; just left, by z, then by descending a. The kink
+        # step pairs against these two sets.
+        inst, act, lam = case
+        ev = eval_dual(inst, lam, act)
+        n = inst.n
+        right = np.lexsort((act.a, -ev.z))[:n]
+        left = np.lexsort((-act.a, -ev.z))[:n]
+        assert set(ev.slots_min.tolist()) == set(right.tolist())
+        assert set(ev.slots_max.tolist()) == set(left.tolist())
+
+
 class TestBlockedKinkStep:
     @settings(max_examples=400)
     @given(kink_cases())
@@ -149,7 +190,7 @@ class TestBlockedKinkStep:
         want_left = ev.lam - float(left.min()) if left.size else None
         if want_left is not None and want_left < 0.0:
             want_left = None
-        top = dual._one_sided_top(ev, act, True).size
+        top = ev.slots_min.size
         for block in (1, 7, top, 3 * top + 1, 1 << 16):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dual, "KINK_BLOCK", block)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import strict_weights
 from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SAMPLE_RANK,
-                          SELECT_SLACK, SortedScores, extremal_diversity, sort_scores,
-                          top_n_with_ties, unconstrained_extremes)
+                          SELECT_SLACK, SortedScores, TopSet, extremal_diversity,
+                          sort_scores, top_n_with_ties, unconstrained_extremes)
 from divrank.model import validate_instance
 
 
@@ -20,8 +20,10 @@ def groups_of(ss):
 
 
 def full_sort_reference(z, tau, n):
-    """sort_scores as a full stable argsort over every score: the reference
-    the selecting version must reproduce up to the group holding rank n."""
+    """sort_scores as a full stable argsort over every score, with the top
+    set read off it: the reference the selecting version must reproduce up
+    to the group holding rank n. Returns (sorted scores, top set, index of
+    the group holding rank n)."""
     z = np.asarray(z, dtype=np.float64)
     order = np.argsort(-z, kind="stable")
     values = z[order]
@@ -33,9 +35,14 @@ def full_sort_reference(z, tau, n):
         starts = np.zeros(1, dtype=np.intp)
         ends = np.full(1, values.shape[0], dtype=np.intp)
     g = int(np.searchsorted(starts, n - 1, side="right") - 1)
-    boundary = g if ends[g] > n else None
-    return SortedScores(order=order, values=values, starts=starts, ends=ends,
-                        tau=float(tau), boundary_group=boundary), g
+    start, end = int(starts[g]), int(ends[g])
+    if end == n:
+        ts = TopSet(order[:n], order[:0], 0, n, g)
+    else:
+        ts = TopSet(order[:start], order[start:end], n - start, end, g)
+    ss = SortedScores(order=order, values=values, starts=starts, ends=ends,
+                      tau=float(tau))
+    return ss, ts, g
 
 
 TAU = 1e-3
@@ -73,7 +80,7 @@ def scores_and_cut(draw):
     return rng.permutation(z), tau, n
 
 
-def assert_selection_matches(z, tau, n, ref, g):
+def assert_selection_matches(z, tau, n, ref, ts_ref, g):
     """sort_scores(z, tau, n) ends with the group holding rank n, and
     everything up to it is what the full sort `ref` gives."""
     ss = sort_scores(z, tau, n)
@@ -82,8 +89,7 @@ def assert_selection_matches(z, tau, n, ref, g):
     assert ss.values.tolist() == ref.values[:top_end].tolist()
     assert ss.starts.tolist() == ref.starts[:g + 1].tolist()
     assert ss.ends.tolist() == ref.ends[:g + 1].tolist()
-    assert ss.boundary_group == ref.boundary_group
-    ts, ts_ref = top_n_with_ties(ss, n), top_n_with_ties(ref, n)
+    ts = top_n_with_ties(ss, n)
     assert ts.certain.tolist() == ts_ref.certain.tolist()
     assert ts.tied.tolist() == ts_ref.tied.tolist()
     assert (ts.slots_in_tied, ts.top_end, ts.cut_group) == (
@@ -121,13 +127,7 @@ class TestSelectionMatchesFullSort:
     @given(scores_and_cut())
     def test_prefix_and_groups_match_full_sort(self, case):
         z, tau, n = case
-        ref, g = full_sort_reference(z, tau, n)
-        # Without n everything is sorted, as before.
-        full = sort_scores(z, tau)
-        assert full.order.tolist() == ref.order.tolist()
-        assert full.starts.tolist() == ref.starts.tolist()
-        assert full.ends.tolist() == ref.ends.tolist()
-        assert_selection_matches(z, tau, n, ref, g)
+        assert_selection_matches(z, tau, n, *full_sort_reference(z, tau, n))
 
     @pytest.mark.parametrize("m", [6000, 20000, 100000])
     @pytest.mark.parametrize("kind", ["gaussian", "ascending", "descending",
@@ -137,8 +137,7 @@ class TestSelectionMatchesFullSort:
         for n in (1, 10, 30):
             # tau = 0, and the relative tolerance kink evaluations use.
             for tau in (0.0, 1e-9 * float(np.abs(z).max())):
-                ref, g = full_sort_reference(z, tau, n)
-                assert_selection_matches(z, tau, n, ref, g)
+                assert_selection_matches(z, tau, n, *full_sort_reference(z, tau, n))
 
     def test_sample_holding_the_top_scores_widens(self):
         # The top scores sit exactly where the strided sample looks, so the
@@ -148,8 +147,7 @@ class TestSelectionMatchesFullSort:
         z = np.random.default_rng(313).random(m)
         z[::step][:SAMPLE_RANK] = 10.0 - np.arange(SAMPLE_RANK)
         assert (z >= z[(SAMPLE_RANK - 1) * step]).sum() < n
-        ref, g = full_sort_reference(z, 0.0, n)
-        assert_selection_matches(z, 0.0, n, ref, g)
+        assert_selection_matches(z, 0.0, n, *full_sort_reference(z, 0.0, n))
 
     def test_tau_chain_past_the_threshold_comes_back_whole(self):
         # Ranks 5..5000 form one chain of gaps 0.9 tau, so every threshold
@@ -159,9 +157,9 @@ class TestSelectionMatchesFullSort:
                             5.0 - 0.9 * tau * np.arange(4996),
                             -1.0 - np.arange(m - 5000, dtype=float)))
         z = z[np.random.default_rng(314).permutation(m)]
-        ref, g = full_sort_reference(z, tau, 10)
+        ref, ts_ref, g = full_sort_reference(z, tau, 10)
         assert (ref.starts[g], ref.ends[g]) == (4, 5000)
-        assert_selection_matches(z, tau, 10, ref, g)
+        assert_selection_matches(z, tau, 10, ref, ts_ref, g)
 
     def test_distinct_scores_sort_only_a_block(self):
         z = np.random.default_rng(310).permutation(np.arange(100_000, dtype=float))
@@ -178,7 +176,7 @@ class TestSelectionMatchesFullSort:
         perm = np.random.default_rng(311).permutation(m)
         ss = sort_scores(z[perm], 0.0, 10)
         assert 5000 > 10 + SELECT_SLACK
-        assert ss.boundary_group == 4
+        assert ss.starts.shape[0] == 5  # the straddling group is the last
         assert (ss.starts[4], ss.ends[4]) == (4, 5000)
         tied = ss.order[4:5000]
         assert np.all(z[perm][tied] == 5.0)
@@ -187,37 +185,44 @@ class TestSelectionMatchesFullSort:
 
 class TestSortScores:
     def test_distinct_values(self):
-        ss = sort_scores(np.array([3.0, 2.0, 0.0]))
+        ss = sort_scores(np.array([3.0, 2.0, 0.0]), 0.0, 3)
         assert ss.order.tolist() == [0, 1, 2]
         assert groups_of(ss) == [{0}, {1}, {2}]
 
     def test_exact_tie(self):
-        ss = sort_scores(np.array([2.5, 2.5, 0.0]))
+        ss = sort_scores(np.array([2.5, 2.5, 0.0]), 0.0, 3)
         assert groups_of(ss) == [{0, 1}, {2}]
 
     def test_total_tie(self):
-        ss = sort_scores(np.array([1.0, 1.0, 1.0]))
+        ss = sort_scores(np.array([1.0, 1.0, 1.0]), 0.0, 1)
         assert groups_of(ss) == [{0, 1, 2}]
 
     def test_tau_widens_groups(self):
         z = np.array([1.0, 1.0 - 1e-10, 0.0])
-        assert len(groups_of(sort_scores(z, tau=0.0))) == 3
-        assert groups_of(sort_scores(z, tau=1e-9)) == [{0, 1}, {2}]
+        assert len(groups_of(sort_scores(z, 0.0, 3))) == 3
+        assert groups_of(sort_scores(z, 1e-9, 3)) == [{0, 1}, {2}]
 
     def test_tie_order_deterministic_by_index(self):
-        ss = sort_scores(np.array([1.0, 1.0, 1.0, 2.0]))
+        ss = sort_scores(np.array([1.0, 1.0, 1.0, 2.0]), 0.0, 4)
         assert ss.order.tolist() == [3, 0, 1, 2]
 
-    def test_boundary_group_flag(self):
-        ss = sort_scores(np.array([5.0, 3.0, 3.0, 1.0]), n=2)
-        assert ss.boundary_group == 1
-        ss2 = sort_scores(np.array([3.0, 2.0, 0.0]), n=2)
-        assert ss2.boundary_group is None
+    def test_sorted_through_the_group_holding_rank_n(self):
+        z = np.array([5.0, 3.0, 3.0, 1.0])
+        ss = sort_scores(z, 0.0, 2)  # the tie at ranks 2-3 straddles the cut
+        assert ss.order.tolist() == [0, 1, 2]
+        assert groups_of(ss) == [{0}, {1, 2}]
+        ss = sort_scores(z, 0.0, 1)  # a clean cut after rank 1
+        assert ss.order.tolist() == [0] and groups_of(ss) == [{0}]
+
+    def test_out_of_range_n_rejected(self):
+        for n in (0, -1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                sort_scores(np.array([1.0, 2.0]), 0.0, n)
 
 
 class TestTopNWithTies:
     def test_boundary_tie(self):
-        ss = sort_scores(np.array([5.0, 3.0, 3.0, 1.0]))
+        ss = sort_scores(np.array([5.0, 3.0, 3.0, 1.0]), 0.0, 2)
         ts = top_n_with_ties(ss, 2)
         assert set(ts.certain.tolist()) == {0}
         assert set(ts.tied.tolist()) == {1, 2}
@@ -225,13 +230,13 @@ class TestTopNWithTies:
         assert set(ss.order[:ts.top_end].tolist()) == {0, 1, 2}
 
     def test_clean_cut(self):
-        ss = sort_scores(np.array([3.0, 2.0, 0.0]))
+        ss = sort_scores(np.array([3.0, 2.0, 0.0]), 0.0, 2)
         ts = top_n_with_ties(ss, 2)
         assert set(ts.certain.tolist()) == {0, 1}
         assert ts.tied.size == 0 and ts.slots_in_tied == 0
 
     def test_total_tie(self):
-        ss = sort_scores(np.array([1.0, 1.0, 1.0]))
+        ss = sort_scores(np.array([1.0, 1.0, 1.0]), 0.0, 2)
         ts = top_n_with_ties(ss, 2)
         assert ts.certain.size == 0
         assert set(ts.tied.tolist()) == {0, 1, 2}
@@ -243,7 +248,7 @@ class TestTopNWithTies:
             m = int(rng.integers(1, 12))
             n = int(rng.integers(1, m + 1))
             z = np.round(rng.normal(size=m), 1)
-            ts = top_n_with_ties(sort_scores(z), n)
+            ts = top_n_with_ties(sort_scores(z, 0.0, n), n)
             assert ts.certain.size + ts.slots_in_tied == n
             assert ts.certain.size + ts.tied.size == ts.top_end >= n
             assert ts.slots_in_tied <= ts.tied.size
@@ -251,18 +256,12 @@ class TestTopNWithTies:
             member = {i for i in range(m) if np.sum(z > z[i]) <= n - 1}
             assert set(ts.certain.tolist()) | set(ts.tied.tolist()) == member
 
-    def test_out_of_range_n(self):
-        ss = sort_scores(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            top_n_with_ties(ss, 3)
-
     def test_invariant_under_scale_and_shift(self):
         rng = np.random.default_rng(302)
         z = np.round(rng.normal(size=9), 1)
-        ss = sort_scores(z)
-        ts = top_n_with_ties(ss, 4)
+        ts = top_n_with_ties(sort_scores(z, 0.0, 4), 4)
         z2 = 3.7 * z + 11.0
-        ts2 = top_n_with_ties(sort_scores(z2), 4)
+        ts2 = top_n_with_ties(sort_scores(z2, 0.0, 4), 4)
         assert set(ts.certain.tolist()) == set(ts2.certain.tolist())
         assert set(ts.tied.tolist()) == set(ts2.tied.tolist())
         assert ts.slots_in_tied == ts2.slots_in_tied
@@ -273,7 +272,7 @@ class TestExtremalDiversity:
         z = np.array([2.5, 2.5, 0.0])
         a = np.array([1.0, -1.0, 0.0])
         w = np.array([1.0])
-        ss = sort_scores(z, n=1)
+        ss = sort_scores(z, 0.0, 1)
         ts = top_n_with_ties(ss, 1)
         vmax, smax = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
         vmin, smin = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
@@ -284,7 +283,7 @@ class TestExtremalDiversity:
         z = np.array([3.0, 2.0, 0.0])
         a = np.array([1.0, -1.0, 0.0])
         w = np.array([2.0, 1.0])
-        ss = sort_scores(z, n=2)
+        ss = sort_scores(z, 0.0, 2)
         ts = top_n_with_ties(ss, 2)
         vmax, _ = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
         vmin, _ = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
@@ -294,7 +293,7 @@ class TestExtremalDiversity:
         z = np.zeros(3)
         a = np.array([5.0, 1.0, 3.0])
         w = np.array([2.0, 1.0])
-        ss = sort_scores(z, n=2)
+        ss = sort_scores(z, 0.0, 2)
         ts = top_n_with_ties(ss, 2)
         vmax, _ = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
         vmin, _ = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
@@ -302,7 +301,7 @@ class TestExtremalDiversity:
         assert vmin == 5.0   # 2*1 + 1*3
 
     def test_unknown_direction_rejected(self):
-        ss = sort_scores(np.array([1.0, 0.0]), n=1)
+        ss = sort_scores(np.array([1.0, 0.0]), 0.0, 1)
         ts = top_n_with_ties(ss, 1)
         with pytest.raises(ValueError):
             extremal_diversity(ss, ts, np.zeros(2), np.ones(1), "median")
@@ -339,7 +338,7 @@ class TestExtremalDiversity:
             z = np.round(rng.normal(size=m), 0)  # coarse: many ties
             a = rng.normal(size=m)
             w = strict_weights(rng, n)
-            ss = sort_scores(z, n=n)
+            ss = sort_scores(z, 0.0, n)
             ts = top_n_with_ties(ss, n)
             for direction, side in ((MAX_DIVERSITY, 1.0), (MIN_DIVERSITY, -1.0)):
                 val, slots = extremal_diversity(ss, ts, a, w, direction)
@@ -383,7 +382,7 @@ class TestSolveUnconstrained:
             m = int(rng.integers(1, 30))
             n = int(rng.integers(1, min(m, 8) + 1))
             z = rng.normal(size=m)  # continuous: distinct w.p. 1
-            ts = top_n_with_ties(sort_scores(z), n)
+            ts = top_n_with_ties(sort_scores(z, 0.0, n), n)
             assert ts.tied.size == 0 and ts.certain.size == n
             un = unconstrained_extremes(z, rng.normal(size=m), strict_weights(rng, n))
             assert un.min_div == un.max_div

@@ -533,9 +533,9 @@ def _global_view(ev, active):
     ss, ts = ev.sorted, ev.topset
     idx = active.indices
     return (ev.lam, ev.g, ev.g_minus, ev.g_plus, ev.min_div, ev.max_div,
-            ev.slots_min.tolist(), ev.slots_max.tolist(), ev.tau,
+            idx[ev.slots_min].tolist(), idx[ev.slots_max].tolist(), ev.tau,
             idx[ss.order].tolist(), ss.values.tolist(), ss.starts.tolist(),
-            ss.ends.tolist(), ss.tau, ss.boundary_group,
+            ss.ends.tolist(), ss.tau,
             idx[ts.certain].tolist(), idx[ts.tied].tolist(), ts.slots_in_tied,
             ts.top_end, ts.cut_group)
 
@@ -747,7 +747,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(0.5, ev, one)
+        mix = recover_primal(0.5, ev, one, ActiveSet.full(one))
         assert mix.rho == pytest.approx(0.5)
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.objective == pytest.approx(2.5)
@@ -757,7 +757,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.0)
-        mix = recover_primal(0.0, ev, one)
+        mix = recover_primal(0.0, ev, one, ActiveSet.full(one))
         assert mix.rho == 1.0
         assert mix.x1.slots == mix.x2.slots == (0,)
 
@@ -765,16 +765,28 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(0.5, ev, one)
+        mix = recover_primal(0.5, ev, one, ActiveSet.full(one))
         assert mix.rho == 0.0
         assert mix.diversity == pytest.approx(1.0)
+
+    def test_slots_map_through_the_active_set(self):
+        # Candidate 0 is screened out, so the evaluation's slots are
+        # positions among candidates 1..3, one less than their indices.
+        one = OneSidedInstance(np.array([-5.0, 3.0, 2.0, 0.0]),
+                               np.array([0.0, 1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
+        act = ActiveSet.full(one).keep(np.array([1, 2, 3]))
+        ev = eval_dual(one, 0.5, act, tau=1e-9 * 2.5)
+        assert ev.slots_min.tolist() == [1] and ev.slots_max.tolist() == [0]
+        mix = recover_primal(0.5, ev, one, act)
+        assert mix.x1.slots == (2,) and mix.x2.slots == (1,)
+        assert mix.objective == pytest.approx(2.5)
 
     def test_rejects_bracket_only(self):
         one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
                                np.array([1.0]), 0.5)
         from divrank.solver import BracketOnlyError
         with pytest.raises(BracketOnlyError):
-            recover_primal(None, None, one)
+            recover_primal(None, None, one, ActiveSet.full(one))
 
 
 class TestSolvePipeline:
