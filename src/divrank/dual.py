@@ -25,8 +25,12 @@ log = logging.getLogger(__name__)
 PARALLEL_RTOL = 1e-15
 # Relative tie tolerance applied when evaluating at a traced kink.
 KINK_TIE_RTOL = 1e-9
-# Pairs per block of the kink step's temporaries (512 KiB per float array).
+# Pairs per block of the kink step, laid out (top member, row): 512 KiB per
+# float temporary, two of them and a boolean mask live at once.
 KINK_BLOCK = 1 << 16
+# Bit pattern of +inf: as unsigned integers, non-negative floats order below
+# it as their values do, and negative ones and NaNs above it.
+_INF_BITS = np.float64(math.inf).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -133,30 +137,49 @@ def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
     their below-the-cut crossings are not mistaken for kinks.
 
     A pair (i, j in top set) crosses at offset (z_i - z_j) / (a_i - a_j)
-    going right, or (z_i - z_j) / (a_j - a_i) going left; only strictly
-    positive offsets matter, i.e. numerator and denominator of the same
-    strict sign. Pairs tied within the evaluation's tau and near-parallel
-    pairs are excluded. The rows i are taken in blocks of
-    KINK_BLOCK // |top set| (at least one), so the temporaries stay at
-    about KINK_BLOCK pairs for any m; every pair sees the same float
-    operations in any block, so the minimum does not depend on the block.
+    going right, or (z_i - z_j) / (a_j - a_i) going left (bit for bit the
+    negated a_i - a_j); only strictly positive offsets matter, i.e.
+    numerator and denominator of the same strict sign. Pairs tied within
+    the evaluation's tau and near-parallel pairs are excluded. Rounding is
+    monotone, so a row with z_i - min z[top] < -tau has every numerator
+    below -tau: its pairs count exactly when the denominator is below
+    -a_tol, and only the few rows at or near the top need the four-way sign
+    test. Each excluded pair's denominator is zeroed, so its quotient is an
+    infinity or a NaN. Read as unsigned integers, those bit patterns and
+    every negative float rank above the non-negative quotients, so one
+    unsigned minimum finds the nearest crossing without gathering pairs.
+
+    The rows are taken in blocks of KINK_BLOCK // |top set| (at least one),
+    laid out (top member, row) so that each operation runs along the rows;
+    the temporaries stay at about KINK_BLOCK pairs for any m, and every
+    pair sees the same float operations in any block, so the minimum does
+    not depend on the block.
     """
     t_idx = ev.slots_min if forward else ev.slots_max
     z, a = ev.z, active.a
-    z_top, a_top = z[t_idx], a[t_idx]
+    z_top, a_top = z[t_idx, None], a[t_idx, None]
+    z_min = float(z_top.min())
     a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())) if a.size else 0.0
     z_tol = ev.tau
     rows = max(KINK_BLOCK // t_idx.size, 1)
-    best = math.inf
-    for lo in range(0, z.shape[0], rows):
-        num = z[lo:lo + rows, None] - z_top
-        den = a[lo:lo + rows, None] - a_top
-        if not forward:
-            np.negative(den, out=den)
-        valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
-        if valid.any():
-            best = min(best, float((num[valid] / den[valid]).min()))
-    return best
+    best = _INF_BITS
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, z.shape[0], rows):
+            zb, ab = z[lo:lo + rows], a[lo:lo + rows]
+            num = zb - z_top
+            den = ab - a_top if forward else a_top - ab
+            valid = den < -a_tol  # the rule for rows below the top set
+            near = (zb - z_min >= -z_tol).nonzero()[0]
+            if near.shape[0]:
+                nn, dn = num[:, near], den[:, near]
+                valid[:, near] = (((nn > z_tol) & (dn > a_tol))
+                                  | ((nn < -z_tol) & (dn < -a_tol)))
+            den *= valid
+            num /= den
+            best = min(best, num.view(np.uint64).min())
+            del num, den, valid  # freed before the next block allocates
+    # +inf when every valid quotient overflowed, or when there is none.
+    return float(best.view(np.float64)) if best < _INF_BITS else math.inf
 
 
 def kink_right(ev: DualEvaluation, active: ActiveSet) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -215,10 +216,18 @@ class SolveStats:
     wall_time_us: float = 0.0
     exact: bool = True
     duality_gap: float = 0.0
-    # Original indices removed by screening, as an int array; kept out of the
-    # JSON payload.
-    dropped_indices: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.intp))
+    # One int array of original indices per screen that removed any, in
+    # screening order; read them joined as dropped_indices.
+    dropped_parts: tuple[np.ndarray, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def dropped_indices(self) -> np.ndarray:
+        """Original indices removed by screening, as an int array; joined on
+        first read, since most callers need only the count. Kept out of the
+        JSON payload."""
+        if not self.dropped_parts:
+            return np.empty(0, dtype=np.intp)
+        return np.concatenate(self.dropped_parts)
 
 
 @dataclass(frozen=True)

@@ -507,14 +507,14 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
             diversity = -diversity
             status = STATUS_LOWER_ACTIVE
         mixture = replace(mixture, diversity=diversity)
-    dropped = np.concatenate(result.state.dropped or [np.empty(0, dtype=np.intp)])
+    parts = tuple(result.state.dropped)
     stats = SolveStats(
         iterations=result.state.iterations,
         screen_events=result.state.screen_events,
-        dropped=int(dropped.size),
+        dropped=sum(p.shape[0] for p in parts),
         exact=exact,
         duality_gap=gap,
-        dropped_indices=dropped,
+        dropped_parts=parts,
     )
     stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
     return Solution(status=status, lambda_star=lambda_star,

@@ -1,6 +1,7 @@
 """Dual function values, one-sided derivatives, and kink geometry."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 import divrank.dual as dual
 from conftest import random_one_sided_arrays
+from divrank import SolveOptions, solve, validate_instance
+from divrank.datagen import GenConfig, gen_synthetic
 from divrank.dual import (PARALLEL_RTOL, ActiveSet, OneSidedInstance, eval_dual,
                           kink_left, kink_right, kink_tie_tol, lowest_crossing,
                           trace_kinks)
 from divrank.oracle import oracle_dual_breakpoints, oracle_kink_set
+from divrank.rank import unconstrained_extremes
 
 
 def make(c, a, w, b2):
@@ -96,7 +100,8 @@ class TestKinkStepping:
 def reference_offsets(ev, active, forward):
     """Every positive crossing offset against the top set on the given
     side, ev's min- or max-diversity assignment, from one m x |top set|
-    pass: the kink step before it was blocked."""
+    pass that gathers the valid pairs: the kink step before it was blocked.
+    An offset past the largest float is +inf."""
     t_idx = ev.slots_min if forward else ev.slots_max
     num = ev.z[:, None] - ev.z[t_idx][None, :]
     den = active.a[:, None] - active.a[t_idx][None, :]
@@ -105,20 +110,35 @@ def reference_offsets(ev, active, forward):
     a_tol = PARALLEL_RTOL * float(np.abs(active.a).max()) if active.a.size else 0.0
     z_tol = ev.tau
     valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
-    return num[valid] / den[valid]
+    with np.errstate(over="ignore"):
+        return num[valid] / den[valid]
+
+
+def reference_crossing(ev, active, forward):
+    """dual._nearest_crossing computed from reference_offsets."""
+    offsets = reference_offsets(ev, active, forward)
+    return float(offsets.min()) if offsets.size else math.inf
 
 
 @st.composite
 def kink_cases(draw):
-    """(instance, active set, lam, tau) on grid scores: ties across the
-    rank-n cut, duplicated rows and parallel lines are all common."""
+    """(instance, active set, lam, tau) on grid scores, where ties across
+    the rank-n cut, duplicated rows and parallel lines are all common, or
+    on continuous draws; c and a are each scaled by 2**0 or 2**+-450, so
+    offsets reach about 2**+-900."""
     m = draw(st.integers(1, 60))
     n = draw(st.integers(1, min(m, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     step = draw(st.sampled_from((0.25, 0.5, 1.0)))
     span = draw(st.integers(1, 6))
-    c = rng.integers(-4 * span, 4 * span + 1, size=m) * step
-    a = rng.integers(-span, span + 1, size=m) * step  # few slopes: parallels
+    if draw(st.booleans()):
+        c = rng.integers(-4 * span, 4 * span + 1, size=m) * step
+        a = rng.integers(-span, span + 1, size=m) * step  # few slopes: parallels
+    else:
+        c = rng.normal(scale=4 * span * step, size=m)
+        a = rng.normal(scale=span * step, size=m)
+    c = np.ldexp(c, draw(st.sampled_from((0, 450, -450))))
+    a = np.ldexp(a, draw(st.sampled_from((0, 450, -450))))
     dup = draw(st.integers(0, m // 2))
     if dup:
         src, dst = rng.integers(0, m, size=(2, dup))
@@ -197,6 +217,25 @@ class TestBlockedKinkStep:
                 assert kink_right(ev, act) == want_right, block
                 assert kink_left(ev, act) == want_left, block
 
+    def test_offsets_that_overflow_or_underflow(self):
+        # Candidate 1 meets the top member at 2e300 / 1e-10, past the
+        # largest float, or at 1e-300 / 2e300, below the smallest positive
+        # one.
+        for c, a, offset in (([1e300, -1e300], [1e-10, 0.0], math.inf),
+                             ([1e-300, 0.0], [1e300, -1e300], 0.0)):
+            inst, act = make(c, a, [1.0], 0.0)
+            ev = eval_dual(inst, 0.0, act)
+            assert reference_offsets(ev, act, True).tolist() == [offset]
+            assert kink_right(ev, act) == offset
+
+    def test_slope_gap_at_the_tolerance_is_parallel(self):
+        # max|a| = 1, so candidate 1's slope gap to the top member, 1e-15,
+        # equals the parallel tolerance exactly; candidate 2 falls behind.
+        inst, act = make([1.0, 0.0, -5.0], [0.0, -1e-15, 1.0], [1.0], 0.0)
+        ev = eval_dual(inst, 0.0, act)
+        assert reference_offsets(ev, act, True).size == 0
+        assert kink_right(ev, act) == math.inf
+
     def test_memory_is_bounded_at_large_m(self):
         rng = np.random.default_rng(451)
         m, n = 100_000, 10
@@ -212,6 +251,54 @@ class TestBlockedKinkStep:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20, (step.__name__, peak)
+
+
+def grid_instance(m, seed, upper):
+    """Scores on a 0.25 grid, so ties straddle the rank-n cut, with the
+    upper bound (upper) or the lower one binding."""
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.normal(size=m) * 4) / 4
+    c = np.round((0.5 * a + rng.normal(size=m)) * 4) / 4
+    w = 1.0 / np.log2(np.arange(2, 12))
+    un = unconstrained_extremes(c, a, w)
+    a_sorted = np.sort(a)
+    lo, hi = float(w.dot(a_sorted[:10])), float(w.dot(a_sorted[::-1][:10]))
+    if upper:
+        b1, b2 = lo - 1.0, 0.5 * (lo + un.min_div)
+    else:
+        b1, b2 = 0.5 * (un.max_div + hi), hi + 1.0
+    return validate_instance(m, 10, c, a, w, b1, b2)
+
+
+class TestKinkStepInSolve:
+    """Whole solves land on the same answer with the kink step taken from
+    the gathered one-pass reference."""
+
+    @pytest.mark.parametrize("inst", [
+        *(gen_synthetic(GenConfig(m=3000, n=10, seed=(455, k))) for k in range(4)),
+        gen_synthetic(GenConfig(m=100_000, n=10, seed=(455, 9))),
+        *(grid_instance(3000, (456, k), k % 2 == 0) for k in (0, 2, 3, 7)),
+    ], ids=lambda inst: f"m{inst.m}")
+    def test_answers_equal_reference_step_by_repr(self, inst, monkeypatch):
+        steps = []
+
+        def reference_step(ev, active, forward):
+            steps.append(forward)
+            return reference_crossing(ev, active, forward)
+
+        for screening in (True, False):
+            opts = SolveOptions(screening=screening)
+            got = solve(inst, opts)
+            with monkeypatch.context() as mp:
+                mp.setattr(dual, "_nearest_crossing", reference_step)
+                want = solve(inst, opts)
+            assert repr(got.lambda_star) == repr(want.lambda_star)
+            assert repr(got.objective) == repr(want.objective)
+            assert repr(got.mixture.rho) == repr(want.mixture.rho)
+            assert got.mixture.x1.slots == want.mixture.x1.slots
+            assert got.mixture.x2.slots == want.mixture.x2.slots
+            assert got.stats.iterations == want.stats.iterations
+        assert steps  # the unscreened search steps to a kink
 
 
 class TestPiecewiseStructure:
