@@ -1,6 +1,6 @@
 """Command-line interface: solve, gen, verify, bench.
 
-Exit codes for solve: 0 success, 2 invalid input, 3 infeasible instance.
+Exit codes: 0 success, 1 verify mismatch, 2 invalid input, 3 infeasible.
 Set DIVRANK_LOG=debug|info|warning to control trace verbosity.
 """
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .model import (STATUS_INFEASIBLE, ValidationError, instance_to_dict,
                     load_instance, solution_to_dict)
 from .oracle import brute_force_tiny, oracle_dual_breakpoints
 from .solver import InfeasibleError, SolveOptions, reduce_two_sided, solve
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -65,6 +63,20 @@ def _emit(text: str, path: str | None) -> None:
         print(text)
 
 
+def _bad_generator_args(m_list: list[int], n_list: list[int], seed: int,
+                        alpha: float = GenConfig.alpha) -> str | None:
+    """Why the generator would refuse some (m, n) pair, or None."""
+    if seed < 0:
+        return f"--seed must be non-negative, got {seed}"
+    for m in m_list:
+        for n in n_list:
+            try:
+                GenConfig(m=m, n=n, alpha=alpha)
+            except ValueError as exc:
+                return f"{exc} (m={m}, n={n}, alpha={alpha:g})"
+    return None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst = load_instance(args.input)
@@ -87,6 +99,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    problem = _bad_generator_args([args.m], [args.n], args.seed, args.alpha)
+    if problem:
+        print(f"divrank gen: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     config = GenConfig(m=args.m, n=args.n, alpha=args.alpha, seed=args.seed)
     try:
         inst = gen_synthetic(config)
@@ -99,6 +115,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Cross-check the solver against the oracles on seeded instances."""
+    problem = (f"--count must be non-negative, got {args.count}" if args.count < 0
+               else _bad_generator_args([args.m], [args.n], args.seed))
+    if problem:
+        print(f"divrank verify: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     bad: list[tuple[int, ...]] = []
     tiny = args.m <= 7 and args.n <= 3
     for rep in range(args.count):
@@ -191,6 +212,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    problem = (f"--reps must be at least 1, got {args.reps}" if args.reps < 1
+               else _bad_generator_args(args.m_list, args.n_list, args.seed,
+                                        args.alpha))
+    if problem:
+        print(f"divrank bench: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     rows = run_benchmark(args.m_list, args.n_list, reps=args.reps,
                          alpha=args.alpha, seed=args.seed)
     if args.csv:

@@ -9,17 +9,14 @@ top-n assignment.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .rank import (MAX_DIVERSITY, MIN_DIVERSITY, SortedScores, TopSet,
-                   extremal_diversity, sort_scores, top_n_with_ties)
-
-log = logging.getLogger(__name__)
+# sort_scores and extremal_diversity are re-exported for benchmark/spans.py.
+from .rank import extremal_diversity, sort_scores, unconstrained_extremes
 
 # Relative tolerance below which two diversity slopes count as parallel.
 PARALLEL_RTOL = 1e-15
@@ -85,8 +82,6 @@ class DualEvaluation(NamedTuple):
     g_minus: float
     g_plus: float
     z: np.ndarray
-    sorted: SortedScores
-    topset: TopSet
     min_div: float
     max_div: float
     slots_min: np.ndarray
@@ -103,25 +98,19 @@ def kink_tie_tol(z: np.ndarray) -> float:
 
 def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
               tau: float = 0.0) -> DualEvaluation:
-    """Evaluate g and both one-sided derivatives at lam over the active set.
+    """g at lam over the active set, unconstrained_extremes of c - lam a plus
+    b2 lam, and its one-sided derivatives b2 - max_div and b2 - min_div.
 
     tau widens tie detection; pass 0 except at a traced kink where float
     noise hides the expected tie.
     """
-    n = inst.n
     z = active.a * -lam  # c + (-lam) a is c - lam a bit for bit, in one array
     z += active.c
-    ss = sort_scores(z, tau, n)
-    g = float(inst.w.dot(ss.values[:n])) + inst.b2 * lam
-    ts = top_n_with_ties(ss, n)
-    min_div, slots_min = extremal_diversity(ss, ts, active.a, inst.w, MIN_DIVERSITY)
-    if ts.unique:  # one optimal assignment
-        max_div, slots_max = min_div, slots_min
-    else:
-        max_div, slots_max = extremal_diversity(ss, ts, active.a, inst.w, MAX_DIVERSITY)
-    return DualEvaluation(float(lam), g, inst.b2 - max_div, inst.b2 - min_div,
-                          z, ss, ts, min_div, max_div, slots_min, slots_max,
-                          float(tau))
+    value, min_div, max_div, slots_min, slots_max = unconstrained_extremes(
+        z, active.a, inst.w, tau)
+    return DualEvaluation(float(lam), value + inst.b2 * lam, inst.b2 - max_div,
+                          inst.b2 - min_div, z, min_div, max_div, slots_min,
+                          slots_max, float(tau))
 
 
 def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
@@ -233,21 +222,17 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     return float(near[_argmin_g(inst, active, near)])
 
 
-def trace_kinks(inst: OneSidedInstance, start: float = 0.0,
-                active: ActiveSet | None = None,
-                limit: int | None = None) -> np.ndarray:
-    """All kinks of g reachable by stepping right from `start`.
+def trace_kinks(inst: OneSidedInstance) -> np.ndarray:
+    """All kinks of g, found by stepping right from 0: at most one per pair
+    of candidates, since two score lines cross at most once.
 
     Each step evaluates with the relaxed kink tie tolerance so the tie group
     at the current kink is excluded from the next step's pair set.
     """
-    if active is None:
-        active = ActiveSet.full(inst)
-    if limit is None:
-        limit = active.size * (active.size - 1) // 2 + 1
-    lam = float(start)
+    active = ActiveSet.full(inst)
+    lam = 0.0
     out: list[float] = []
-    for _ in range(limit + 1):
+    for _ in range(inst.m * (inst.m - 1) // 2 + 2):
         z = active.c - lam * active.a
         ev = eval_dual(inst, lam, active, tau=kink_tie_tol(z))
         nxt = kink_right(ev, active)

@@ -205,6 +205,13 @@ class PrimalMixture:
         return sup
 
 
+def complement(indices: np.ndarray, m: int) -> np.ndarray:
+    """The indices in range(m) missing from indices, ascending."""
+    mask = np.ones(m, dtype=bool)
+    mask[indices] = False
+    return mask.nonzero()[0]
+
+
 @dataclass
 class SolveStats:
     # Dual evaluations at one point each: bisection and doubling trials, the
@@ -216,18 +223,17 @@ class SolveStats:
     wall_time_us: float = 0.0
     exact: bool = True
     duality_gap: float = 0.0
-    # One int array of original indices per screen that removed any, in
-    # screening order; read them joined as dropped_indices.
-    dropped_parts: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    # Original indices screening kept, ascending; None when it dropped none.
+    survivors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def dropped_indices(self) -> np.ndarray:
-        """Original indices removed by screening, as an int array; joined on
-        first read, since most callers need only the count. Kept out of the
-        JSON payload."""
-        if not self.dropped_parts:
+        """Original indices removed by screening, ascending, as an int array:
+        the survivors' complement, built on first read, since most callers
+        need only the count. Kept out of the JSON payload."""
+        if self.survivors is None:
             return np.empty(0, dtype=np.intp)
-        return np.concatenate(self.dropped_parts)
+        return complement(self.survivors, self.survivors.shape[0] + self.dropped)
 
 
 @dataclass(frozen=True)
@@ -249,9 +255,6 @@ class Solution:
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------
-
-_INSTANCE_KEYS = ("m", "n", "c", "a", "w", "b1", "b2")
-
 
 def parse_instance(data: Mapping[str, Any]) -> Instance:
     """Build a validated Instance from a decoded JSON object.

@@ -8,7 +8,6 @@ helpers here expose that structure and the diversity extremes over it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,9 +16,9 @@ MIN_DIVERSITY = "min"
 MAX_DIVERSITY = "max"
 
 
-# SortedScores, TopSet and dual.DualEvaluation are NamedTuples, immutable
-# like the frozen dataclasses elsewhere: one of each is built per dual
-# evaluation, and a frozen dataclass's __init__ takes about twice as long.
+# The result records of this module and dual.DualEvaluation are NamedTuples,
+# immutable like the frozen dataclasses elsewhere: one of each is built per
+# dual evaluation, and a frozen dataclass's __init__ takes about twice as long.
 class SortedScores(NamedTuple):
     """The largest scores sorted non-increasing, through the tie group
     holding rank n, with tie groups as ranges over `order`.
@@ -201,8 +200,7 @@ def extremal_diversity(ss: SortedScores, ts: TopSet, a: np.ndarray,
     return float(w.dot(a[slots])), slots
 
 
-@dataclass(frozen=True)
-class UnconstrainedResult:
+class UnconstrainedResult(NamedTuple):
     """slots_min/slots_max: candidate per slot of the tied optima with the
     smallest and the largest diversity."""
 
@@ -213,17 +211,15 @@ class UnconstrainedResult:
     slots_max: np.ndarray
 
 
-def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray) -> UnconstrainedResult:
+def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray,
+                           tau: float = 0.0) -> UnconstrainedResult:
     """Best weighted relevance ignoring the diversity bound, plus the
-    diversity range attainable among the tied optima."""
+    diversity range among the tied optima (scores within tau tie)."""
     n = w.shape[0]
-    ss = sort_scores(c, 0.0, n)
-    value = float(np.dot(w, ss.values[:n]))
+    ss = sort_scores(c, tau, n)
+    value = float(w.dot(ss.values[:n]))
     ts = top_n_with_ties(ss, n)
     min_div, slots_min = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
-    if ts.unique:
-        max_div, slots_max = min_div, slots_min
-    else:
-        max_div, slots_max = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
-    return UnconstrainedResult(value=value, min_div=min_div, max_div=max_div,
-                               slots_min=slots_min, slots_max=slots_max)
+    max_div, slots_max = ((min_div, slots_min) if ts.unique else
+                          extremal_diversity(ss, ts, a, w, MAX_DIVERSITY))
+    return UnconstrainedResult(value, min_div, max_div, slots_min, slots_max)

@@ -16,7 +16,7 @@ from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
                    kink_left, kink_right, kink_tie_tol, lowest_crossing)
 from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
-                    PrimalMixture, Solution, SolveStats)
+                    PrimalMixture, Solution, SolveStats, complement)
 from .rank import SELECT_SLACK, unconstrained_extremes
 
 log = logging.getLogger(__name__)
@@ -84,10 +84,8 @@ class DualSearchState:
     active: ActiveSet
     iterations: int = 0
     screen_events: int = 0
-    dropped: list[np.ndarray] = field(default_factory=list)
-    # Survivor mask of the pre-screen over all m candidates, held until the
-    # first trial confirms its bracket [0, 1] and the next screen reports it.
-    prescreened: Optional[np.ndarray] = None
+    # The pre-screen's drops await the first trial's verdict on [0, 1].
+    prescreen_pending: bool = False
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -233,52 +231,47 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
                       ev: DualEvaluation) -> np.ndarray:
     """Drop candidates that miss the top n at both bracket endpoints.
 
-    The rule is _reaches_witnesses' with T the top n of ev, the evaluation
-    over state.active at one endpoint; ev is evaluated with tau = 0, so at
-    its endpoint the candidates reaching T's minimum, the n-th largest
-    score, are exactly its top set with boundary ties. Drops of the
-    pre-screen (see _prescreen), held back until the first trial confirms
-    its bracket [0, 1], are reported with this call's. Returns the dropped
-    original indices.
+    The rule is _reaches_witnesses' with T the top set of ev, the tau = 0
+    evaluation over state.active at one endpoint, on the bracket's side of
+    it (slots_min at the left end, slots_max at the right). There the
+    candidates reaching T's minimum, the n-th largest score, are exactly
+    the top set with boundary ties. Drops of the pre-screen (see
+    _prescreen), held back until the first trial confirms its bracket
+    [0, 1], are reported with this call's. Returns every drop reported,
+    as ascending original indices.
     """
     act = state.active
-    n = inst.n
-    # Survivor mask over all m while the pre-screen's drops are unreported.
-    full, state.prescreened = state.prescreened, None
+    pending, state.prescreen_pending = state.prescreen_pending, False
     dropped = None
-    if math.isfinite(state.lambda_max) and act.size > n:
-        other = state.lambda_max if ev.lam == state.lambda_min else state.lambda_min
+    if math.isfinite(state.lambda_max) and act.size > inst.n:
+        left = ev.lam == state.lambda_min  # else ev is at the right end
+        other = state.lambda_max if left else state.lambda_min
         # At lambda = 0 the scores c - 0 * a compare exactly as c does.
         v = act.c - other * act.a if other else act.c
-        kept = _reaches_witnesses(ev.z, v, ev.sorted.order[:n])
+        kept = _reaches_witnesses(ev.z, v, ev.slots_min if left else ev.slots_max)
         keep = kept.nonzero()[0]
         if keep.shape[0] < act.size:
             # Positional indexing beats a boolean mask when many drop.
-            gone = act.indices.take((~kept).nonzero()[0])
-            if full is None:
-                dropped = gone
-            else:
-                full[gone] = False
+            dropped = act.indices.take((~kept).nonzero()[0])
             state.active = act.keep(keep)
-    if full is not None:
-        dropped = (~full).nonzero()[0]
-    if dropped is None or dropped.shape[0] == 0:
+    if pending and state.active.size < inst.m:
+        dropped = complement(state.active.indices, inst.m)
+    if dropped is None:
         return np.empty(0, dtype=np.intp)
     state.screen_events += 1
-    state.dropped.append(dropped)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("screened %d candidates, %d remain", dropped.size, state.active.size)
     return dropped
 
 
-def _prescreen(inst: OneSidedInstance) -> tuple[ActiveSet, np.ndarray]:
-    """Survivors of the screening rule (_reaches_witnesses) over [0, 1],
-    and their mask over all m. The witnesses are the n candidates whose
-    smaller end score, min(c, c - a), is largest among every step-th
-    candidate, where step keeps that sample near PRESCREEN_SAMPLE: such a
-    witness set has both of its thresholds high. Survivors keep ascending
-    index order and every candidate scoring at least the n-th largest at
-    lambda = 1, so an evaluation at 1 over them equals the full-width one."""
+def _prescreen(inst: OneSidedInstance) -> ActiveSet:
+    """Survivors of the screening rule (_reaches_witnesses) over [0, 1].
+    The witnesses are the n candidates whose smaller end score,
+    min(c, c - a), is largest among every step-th candidate, where step
+    keeps that sample near PRESCREEN_SAMPLE: such a witness set has both of
+    its thresholds high. Survivors keep ascending index order and every
+    candidate scoring at least the n-th largest at lambda = 1, so an
+    evaluation at 1 over them equals the full-width one."""
     c = inst.c
     z = c - inst.a  # bit for bit eval_dual's c + (-1) a
     step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
@@ -286,7 +279,7 @@ def _prescreen(inst: OneSidedInstance) -> tuple[ActiveSet, np.ndarray]:
     cut = q.shape[0] - inst.n
     kept = _reaches_witnesses(c, z, q.argpartition(cut)[cut:] * step)
     keep = kept.nonzero()[0]
-    return ActiveSet(keep, c.take(keep), inst.a.take(keep)), kept
+    return ActiveSet(keep, c.take(keep), inst.a.take(keep))
 
 
 def solve_dual_bisection(inst: OneSidedInstance,
@@ -315,12 +308,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
     evaluations of g.
     """
     opts = opts or SolveOptions()
-    if opts.screening:
-        active, prescreened = _prescreen(inst)
-    else:
-        active, prescreened = ActiveSet.full(inst), None
+    active = _prescreen(inst) if opts.screening else ActiveSet.full(inst)
     state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
-                            active=active, prescreened=prescreened)
+                            active=active, prescreen_pending=opts.screening)
     # Bracket width below which a kink step follows each trial; fixed at
     # the first closed bracket.
     big_delta = None
@@ -332,7 +322,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
         ev = eval_dual(inst, state.lam, state.active, tau=0.0)
         state.iterations += 1
         if _optimal(ev):
-            if state.prescreened is not None:
+            if state.prescreen_pending:
                 screen_candidates(state, inst, ev)
             return BisectionResult(state.lam, ev,
                                    (state.lambda_min, state.lambda_max), state)
@@ -366,8 +356,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
                 if state.lam == 1.0:
                     if _div_min(inst) > inst.b2:
                         raise InfeasibleError("every assignment's diversity exceeds b2")
-                    if state.prescreened is not None:
-                        state.active, state.prescreened = ActiveSet.full(inst), None
+                    if state.prescreen_pending:
+                        state.active, state.prescreen_pending = ActiveSet.full(inst), False
                 state.lam *= 2.0
                 if state.lam > LAMBDA_LIMIT:
                     break
@@ -507,15 +497,12 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
             diversity = -diversity
             status = STATUS_LOWER_ACTIVE
         mixture = replace(mixture, diversity=diversity)
-    parts = tuple(result.state.dropped)
-    stats = SolveStats(
-        iterations=result.state.iterations,
-        screen_events=result.state.screen_events,
-        dropped=sum(p.shape[0] for p in parts),
-        exact=exact,
-        duality_gap=gap,
-        dropped_parts=parts,
-    )
+    survivors = result.state.active.indices
+    dropped = one.m - survivors.shape[0]
+    stats = SolveStats(iterations=result.state.iterations,
+                       screen_events=result.state.screen_events, dropped=dropped,
+                       exact=exact, duality_gap=gap,
+                       survivors=survivors if dropped else None)
     stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
     return Solution(status=status, lambda_star=lambda_star,
                     mixture=mixture, stats=stats)

@@ -158,6 +158,28 @@ class TestBenchCommand:
             assert row.median_ms > 0.0 and row.mean_ms > 0.0
 
 
+class TestInvalidGeneratorArguments:
+    """Arguments the generator refuses exit 2 with one line on stderr,
+    not 1, the code of a verify mismatch."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--m", "2", "--n", "3"],
+        ["gen", "--m", "5", "--n", "2", "--alpha", "1.5"],
+        ["gen", "--m", "5", "--n", "2", "--seed", "-1"],
+        ["verify", "--m", "2", "--n", "3"],
+        ["verify", "--count", "-3"],
+        ["verify", "--count", "1", "--seed", "-1"],
+        ["bench", "--m-list", "5", "--n-list", "10"],
+        ["bench", "--m-list", "30", "--n-list", "3", "--alpha", "0"],
+        ["bench", "--m-list", "30", "--n-list", "3", "--reps", "0"],
+    ])
+    def test_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"divrank {argv[0]}: ") and err.count("\n") == 1
+
+
 class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -17,7 +17,7 @@ from divrank.dual import (PARALLEL_RTOL, ActiveSet, OneSidedInstance, eval_dual,
                           kink_left, kink_right, kink_tie_tol, lowest_crossing,
                           trace_kinks)
 from divrank.oracle import oracle_dual_breakpoints, oracle_kink_set
-from divrank.rank import unconstrained_extremes
+from divrank.rank import sort_scores, top_n_with_ties, unconstrained_extremes
 
 
 def make(c, a, w, b2):
@@ -33,7 +33,8 @@ class TestEvalDual:
         assert (ev0.g, ev0.g_minus, ev0.g_plus) == (3.0, -1.0, -1.0)
         ev = eval_dual(inst, 0.5, act, tau=kink_tie_tol(inst.c - 0.5 * inst.a))
         assert (ev.g, ev.g_minus, ev.g_plus) == (2.5, -1.0, 1.0)
-        assert set(ev.sorted.order[:ev.topset.top_end].tolist()) == {0, 1}
+        ss = sort_scores(ev.z, ev.tau, 1)
+        assert set(ss.order[:top_n_with_ties(ss, 1).top_end].tolist()) == {0, 1}
         ev2 = eval_dual(inst, 2.0, act)
         assert (ev2.g, ev2.g_minus, ev2.g_plus) == (4.0, 1.0, 1.0)
 

@@ -16,7 +16,7 @@ from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            STATUS_UPPER_ACTIVE, default_weights,
                            validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
-from divrank.rank import unconstrained_extremes
+from divrank.rank import sort_scores, top_n_with_ties, unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             REDUCE_UPPER, DualSearchState, InfeasibleError,
                             SolveOptions, precheck_feasibility, recover_primal,
@@ -442,71 +442,6 @@ class TestBisection:
             assert len(magnitude_calls) == (sol.status != STATUS_UNCONSTRAINED)
 
 
-class TestScreening:
-    def test_drops_only_doubly_dominated(self):
-        c = np.array([3.0, 2.0, 0.0])
-        a = np.array([1.0, -1.0, 0.0])
-        one = OneSidedInstance(c, a, np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.4, lambda_max=0.6, lam=0.5,
-                                active=ActiveSet.full(one))
-        ev = eval_dual(one, 0.4, state.active)
-        assert ev.sorted.order[:1].tolist() == [0]
-        dropped = screen_candidates(state, one, ev)
-        assert dropped.tolist() == [2]
-        assert state.active.indices.tolist() == [0, 1]
-        assert state.screen_events == 1
-
-    def test_keeps_members_tied_at_the_cut(self):
-        # At 0.5 candidates 0 and 1 tie for the single slot; 1 falls below
-        # the witness 0 at 0.75 but stays, since it ties at the cut.
-        one = OneSidedInstance(np.array([1.0, 2.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
-                               np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
-                                active=ActiveSet.full(one))
-        ev = eval_dual(one, 0.5, state.active)
-        assert ev.topset.tied.tolist() == [0, 1]
-        assert screen_candidates(state, one, ev).tolist() == [2]
-        assert state.active.indices.tolist() == [0, 1]
-
-    def test_noop_without_finite_upper_bracket(self):
-        one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
-                               np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
-                                active=ActiveSet.full(one))
-        ev = eval_dual(one, 0.0, state.active)
-        assert screen_candidates(state, one, ev).size == 0
-
-    def test_inert_diversity_reduces_to_top_n_of_c(self):
-        rng = np.random.default_rng(502)
-        c = rng.normal(size=12)
-        one = OneSidedInstance(c, np.zeros(12), np.array([1.0, 0.5]), 0.1)
-        state = DualSearchState(lambda_min=0.3, lambda_max=0.9, lam=0.6,
-                                active=ActiveSet.full(one))
-        top2 = np.argsort(-c, kind="stable")[:2]
-        ev = eval_dual(one, 0.9, state.active)
-        assert ev.sorted.order[:2].tolist() == top2.tolist()
-        dropped = screen_candidates(state, one, ev)
-        assert set(dropped.tolist()) == set(range(12)) - set(top2.tolist())
-
-    def test_on_off_results_identical(self):
-        for rep in range(40):
-            inst = gen_synthetic(GenConfig(m=80, n=6, seed=(503, rep)))
-            on = solve(inst, SolveOptions(screening=True))
-            off = solve(inst, SolveOptions(screening=False))
-            assert rel_close(on.objective, off.objective, 1e-12)
-            assert on.lambda_star == pytest.approx(off.lambda_star, rel=1e-12)
-
-    def test_never_drops_optimal_support(self):
-        for rep in range(60):
-            inst = gen_synthetic(GenConfig(m=50, n=5, seed=(504, rep)))
-            sol = solve(inst)
-            dropped = sol.stats.dropped_indices
-            assert isinstance(dropped, np.ndarray) and dropped.dtype.kind == "i"
-            assert np.unique(dropped).size == dropped.size == sol.stats.dropped
-            assert np.all((dropped >= 0) & (dropped < inst.m))
-            assert not (set(dropped.tolist()) & sol.mixture.support())
-
-
 @st.composite
 def prescreen_cases(draw):
     """One-sided instances with exact ties (coarse grids, duplicated rows),
@@ -528,9 +463,101 @@ def prescreen_cases(draw):
     return OneSidedInstance(c, a, w, float(rng.normal()))
 
 
+def _top_set(ev):
+    """ev's sorted scores and its top set with boundary ties, recomputed
+    from ev.z; ev's slot arrays hold n entries."""
+    n = ev.slots_min.shape[0]
+    ss = sort_scores(ev.z, ev.tau, n)
+    return ss, top_n_with_ties(ss, n)
+
+
+class TestScreening:
+    def test_drops_only_doubly_dominated(self):
+        c = np.array([3.0, 2.0, 0.0])
+        a = np.array([1.0, -1.0, 0.0])
+        one = OneSidedInstance(c, a, np.array([1.0]), 0.5)
+        state = DualSearchState(lambda_min=0.4, lambda_max=0.6, lam=0.5,
+                                active=ActiveSet.full(one))
+        ev = eval_dual(one, 0.4, state.active)
+        assert sort_scores(ev.z, ev.tau, 1).order[:1].tolist() == [0]
+        dropped = screen_candidates(state, one, ev)
+        assert dropped.tolist() == [2]
+        assert state.active.indices.tolist() == [0, 1]
+        assert state.screen_events == 1
+
+    def test_keeps_members_tied_at_the_cut(self):
+        # At 0.5 candidates 0 and 1 tie for the single slot; 1 falls below
+        # the witness 0 at 0.75 but stays, since it ties at the cut.
+        one = OneSidedInstance(np.array([1.0, 2.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
+                               np.array([1.0]), 0.5)
+        state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
+                                active=ActiveSet.full(one))
+        ev = eval_dual(one, 0.5, state.active)
+        assert top_n_with_ties(sort_scores(ev.z, ev.tau, 1), 1).tied.tolist() == [0, 1]
+        assert screen_candidates(state, one, ev).tolist() == [2]
+        assert state.active.indices.tolist() == [0, 1]
+
+    def test_noop_without_finite_upper_bracket(self):
+        one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
+                               np.array([1.0]), 0.5)
+        state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
+                                active=ActiveSet.full(one))
+        ev = eval_dual(one, 0.0, state.active)
+        assert screen_candidates(state, one, ev).size == 0
+
+    def test_inert_diversity_reduces_to_top_n_of_c(self):
+        rng = np.random.default_rng(502)
+        c = rng.normal(size=12)
+        one = OneSidedInstance(c, np.zeros(12), np.array([1.0, 0.5]), 0.1)
+        state = DualSearchState(lambda_min=0.3, lambda_max=0.9, lam=0.6,
+                                active=ActiveSet.full(one))
+        top2 = np.argsort(-c, kind="stable")[:2]
+        ev = eval_dual(one, 0.9, state.active)
+        assert sort_scores(ev.z, ev.tau, 2).order[:2].tolist() == top2.tolist()
+        dropped = screen_candidates(state, one, ev)
+        assert set(dropped.tolist()) == set(range(12)) - set(top2.tolist())
+
+    @settings(max_examples=300)
+    @given(prescreen_cases(), st.integers(0, 16), st.integers(1, 16), st.booleans())
+    def test_side_witnesses_keep_every_top_set_inside(self, one, lo8, width8, at_lo):
+        # A dyadic bracket, so the scores at its ends and middle are exact
+        # on the grid cases.
+        lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0
+        mid = 0.5 * (lo + hi)
+        full = ActiveSet.full(one)
+        state = DualSearchState(lambda_min=lo, lambda_max=hi, lam=mid, active=full)
+        dropped = screen_candidates(state, one, eval_dual(one, lo if at_lo else hi, full))
+        survivors = state.active.indices
+        for lam in (lo, mid, hi):
+            ss, ts = _top_set(eval_dual(one, lam, full))
+            assert np.isin(ss.order[:ts.top_end], survivors).all()
+        assert not np.isin(dropped, survivors).any()
+        assert sorted(dropped.tolist() + survivors.tolist()) == list(range(one.m))
+
+    def test_on_off_results_identical(self):
+        for rep in range(40):
+            inst = gen_synthetic(GenConfig(m=80, n=6, seed=(503, rep)))
+            on = solve(inst, SolveOptions(screening=True))
+            off = solve(inst, SolveOptions(screening=False))
+            assert rel_close(on.objective, off.objective, 1e-12)
+            assert on.lambda_star == pytest.approx(off.lambda_star, rel=1e-12)
+
+    def test_never_drops_optimal_support(self):
+        for rep in range(60):
+            inst = gen_synthetic(GenConfig(m=50, n=5, seed=(504, rep)))
+            sol = solve(inst)
+            dropped = sol.stats.dropped_indices
+            assert isinstance(dropped, np.ndarray) and dropped.dtype.kind == "i"
+            assert np.unique(dropped).size == dropped.size == sol.stats.dropped
+            assert np.all(np.diff(dropped) > 0)
+            assert np.all((dropped >= 0) & (dropped < inst.m))
+            assert not (set(dropped.tolist()) & sol.mixture.support())
+
+
 def _global_view(ev, active):
-    """Every field of an evaluation, in original indices."""
-    ss, ts = ev.sorted, ev.topset
+    """Every field of an evaluation, and its sorted scores and top set, in
+    original indices."""
+    ss, ts = _top_set(ev)
     idx = active.indices
     return (ev.lam, ev.g, ev.g_minus, ev.g_plus, ev.min_div, ev.max_div,
             idx[ev.slots_min].tolist(), idx[ev.slots_max].tolist(), ev.tau,
@@ -561,7 +588,9 @@ class TestPrescreen:
     @settings(max_examples=300)
     @given(prescreen_cases())
     def test_first_trial_over_survivors_equals_full_width(self, one):
-        survivors, kept = solver_module._prescreen(one)
+        survivors = solver_module._prescreen(one)
+        kept = np.zeros(one.m, dtype=bool)
+        kept[survivors.indices] = True
         assert survivors.indices.tolist() == kept.nonzero()[0].tolist()
         assert survivors.size >= one.n
         full = ActiveSet.full(one)
@@ -570,8 +599,8 @@ class TestPrescreen:
         # Sound on all of [0, 1]: every top-n member with boundary ties
         # survives, ties at lambda = 0 included.
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            ev = eval_dual(one, lam, full)
-            assert kept[ev.sorted.order[:ev.topset.top_end]].all()
+            ss, ts = _top_set(eval_dual(one, lam, full))
+            assert kept[ss.order[:ts.top_end]].all()
 
     @pytest.mark.parametrize("m, n", [(20_000, 10), (100_000, 30),
                                       (20_000, 9_000), (9_000, 8_500)])
@@ -580,7 +609,7 @@ class TestPrescreen:
         # sample, which must still hold n of them.
         inst = gen_synthetic(GenConfig(m=m, n=n, seed=(530, m, n)))
         one = reduce_two_sided(inst).one_sided
-        survivors, _ = solver_module._prescreen(one)
+        survivors = solver_module._prescreen(one)
         assert survivors.size < m
         full = ActiveSet.full(one)
         assert (_global_view(eval_dual(one, 1.0, survivors), survivors)
@@ -615,15 +644,34 @@ class TestPrescreen:
         assert sol.objective == brute_force_tiny(inst).objective
         assert sol.stats.dropped_indices.tolist() == [2, 3]
 
-    def test_dropped_and_active_partition_the_candidates(self):
+    def test_dropped_and_active_partition_the_candidates(self, monkeypatch):
+        reports = []
+        real = solver_module.screen_candidates
+        monkeypatch.setattr(solver_module, "screen_candidates",
+                            lambda *args: reports.append(out := real(*args)) or out)
         for m in (40, 3000, 100_000):
             inst = gen_synthetic(GenConfig(m=m, n=10, seed=(531, m)))
-            res = solve_dual_bisection(reduce_two_sided(inst).one_sided)
-            dropped = np.concatenate(res.state.dropped).tolist()
-            active = res.state.active.indices.tolist()
-            assert len(set(dropped)) == len(dropped)
+            reports.clear()
+            stats = solve(inst).stats
+            dropped = np.concatenate(reports).tolist()
+            active = (list(range(m)) if stats.survivors is None
+                      else stats.survivors.tolist())
+            assert len(set(dropped)) == len(dropped) == stats.dropped
+            assert sorted(dropped) == stats.dropped_indices.tolist()
             assert not set(dropped) & set(active)
             assert sorted(dropped + active) == list(range(m))
+
+    def test_nothing_dropped_without_screening(self):
+        inst = gen_synthetic(GenConfig(m=3000, n=10, seed=(533, 0)))
+        assert solve(inst).stats.dropped > 0
+        optimal = running_instance(-2.0, 2.0)
+        assert reduce_two_sided(optimal).kind == REDUCE_ALREADY_OPTIMAL
+        for sol in (solve(inst, SolveOptions(screening=False)), solve(optimal)):
+            stats = sol.stats
+            assert stats.dropped == stats.screen_events == 0
+            assert stats.survivors is None
+            assert stats.dropped_indices.dtype.kind == "i"
+            assert stats.dropped_indices.size == 0
 
 
 @pytest.fixture
