@@ -221,24 +221,3 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     near = lam[max(best - step + 1, 0):best + step]
     return float(near[_argmin_g(inst, active, near)])
 
-
-def trace_kinks(inst: OneSidedInstance) -> np.ndarray:
-    """All kinks of g, found by stepping right from 0: at most one per pair
-    of candidates, since two score lines cross at most once.
-
-    Each step evaluates with the relaxed kink tie tolerance so the tie group
-    at the current kink is excluded from the next step's pair set.
-    """
-    active = ActiveSet.full(inst)
-    lam = 0.0
-    out: list[float] = []
-    for _ in range(inst.m * (inst.m - 1) // 2 + 2):
-        z = active.c - lam * active.a
-        ev = eval_dual(inst, lam, active, tau=kink_tie_tol(z))
-        nxt = kink_right(ev, active)
-        if not math.isfinite(nxt):
-            return np.asarray(out)
-        out.append(nxt)
-        lam = nxt
-    raise RuntimeError("kink trace exceeded the pair-count bound; "
-                       "scores may be degenerate")

@@ -279,7 +279,9 @@ def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # Bytes that are not UTF-8, and nesting deeper than the decoder's
+        # recursion limit, are malformed input too.
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError([ERR_DIMENSION], [f"not valid JSON: {exc}"]) from exc
     return parse_instance(data)
 

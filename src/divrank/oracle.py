@@ -1,20 +1,23 @@
 """Independent ground-truth solvers for testing and the verify command.
 
-These deliberately avoid the production dual/solver code paths: the dual is
-re-evaluated from scratch with plain sorts, the minimizer is located on the
-exhaustive O(m^2) grid of candidate crossing ratios, and tiny instances are
-settled by enumerating every injective assignment and every two-assignment
-mixture.
+The oracles deliberately avoid the production dual/solver code paths: the
+dual is re-evaluated from scratch with plain sorts, the minimizer is located
+on the exhaustive O(m^2) grid of candidate crossing ratios, and tiny
+instances are settled by enumerating every injective assignment and every
+two-assignment mixture. trace_kinks is the exception: it walks g's kinks
+with the production kink step, so that tests can hold that step against
+oracle_kink_set.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dual import OneSidedInstance
+from .dual import ActiveSet, OneSidedInstance, eval_dual, kink_right, kink_tie_tol
 from .model import Instance
 
 # Largest m accepted by the breakpoint oracle (the grid is O(m^2)).
@@ -145,6 +148,28 @@ def oracle_kink_set(inst: OneSidedInstance,
     scale = 1.0 + np.abs(slopes[:-1])
     is_kink = jump > 1e-12 * scale
     return grid[1:][is_kink]
+
+
+def trace_kinks(inst: OneSidedInstance) -> np.ndarray:
+    """All kinks of g, found by stepping right from 0: at most one per pair
+    of candidates, since two score lines cross at most once.
+
+    Each step evaluates with the relaxed kink tie tolerance so the tie group
+    at the current kink is excluded from the next step's pair set.
+    """
+    active = ActiveSet.full(inst)
+    lam = 0.0
+    out: list[float] = []
+    for _ in range(inst.m * (inst.m - 1) // 2 + 2):
+        z = active.c - lam * active.a
+        ev = eval_dual(inst, lam, active, tau=kink_tie_tol(z))
+        nxt = kink_right(ev, active)
+        if not math.isfinite(nxt):
+            return np.asarray(out)
+        out.append(nxt)
+        lam = nxt
+    raise RuntimeError("kink trace exceeded the pair-count bound; "
+                       "scores may be degenerate")
 
 
 @dataclass(frozen=True)

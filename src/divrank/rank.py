@@ -12,9 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-MIN_DIVERSITY = "min"
-MAX_DIVERSITY = "max"
-
 
 # The result records of this module and dual.DualEvaluation are NamedTuples,
 # immutable like the frozen dataclasses elsewhere: one of each is built per
@@ -30,40 +27,23 @@ class SortedScores(NamedTuple):
       (single-linkage chaining).
 
     order and values are a prefix of the full sort, and every group in it
-    is exactly what the full sort gives; the last one holds rank n. The
-    prefix comes from sorting only the scores at or above a threshold,
-    widened until the chain holding rank n ends inside it.
+    is exactly what the full sort gives; the last one holds rank n. So
+    order is the top-n candidate set with its boundary ties, and the last
+    group straddles the cut when it ends past n. The prefix comes from
+    sorting only the scores at or above a threshold, widened until the
+    chain holding rank n ends inside it.
     """
 
     order: np.ndarray
     values: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    tau: float
-
-
-class TopSet(NamedTuple):
-    """Top-n membership with boundary ties.
-
-    certain: members of groups fully above the rank-n cut.
-    tied: members of the straddling group (empty when the cut is clean).
-    slots_in_tied: how many of the tied members receive slots.
-    top_end: offset into the sorted order such that order[:top_end] is the
-      full top-n candidate set including boundary ties.
-    cut_group: index of the tie group holding rank n.
-    """
-
-    certain: np.ndarray
-    tied: np.ndarray
-    slots_in_tied: int
-    top_end: int
-    cut_group: int
 
     @property
     def unique(self) -> bool:
         """Every group meeting the top n is a single candidate, so the
         optimal assignment is unique and its diversity min equals max."""
-        return self.slots_in_tied == 0 and self.cut_group == self.top_end - 1
+        return self.order.shape[0] == self.starts.shape[0]
 
 
 # Selection aims its block at 2k scores, k = n + SELECT_SLACK, and grows k by
@@ -91,7 +71,7 @@ def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int,
     end = int(bounds[g])
     if end == size and partial:
         return None
-    return SortedScores(order[:end], values[:end], bounds[:g], bounds[1:g + 1], tau)
+    return SortedScores(order[:end], values[:end], bounds[:g], bounds[1:g + 1])
 
 
 def _sampled_threshold(pool: np.ndarray, target: int) -> float:
@@ -149,54 +129,29 @@ def sort_scores(z: np.ndarray, tau: float, n: int) -> SortedScores:
     return _grouped(z, (-z).argsort(kind="stable"), tau, n, False)
 
 
-def top_n_with_ties(ss: SortedScores, n: int) -> TopSet:
-    """Candidates competing for the top n slots: clean winners plus the
-    boundary tie group (members with at most n-1 strictly larger scores).
-    ss comes from sort_scores with this n, so its last group holds rank n."""
-    g = ss.starts.shape[0] - 1
-    end = ss.order.shape[0]
-    if end == n:
-        return TopSet(ss.order[:n], ss.order[:0], 0, n, g)
-    start = int(ss.starts[g])
-    return TopSet(ss.order[:start], ss.order[start:end], n - start, end, g)
-
-
-def extremal_diversity(ss: SortedScores, ts: TopSet, a: np.ndarray,
-                       w: np.ndarray, direction: str) -> tuple[float, np.ndarray]:
-    """Extreme of sum_j w[j] * a[slot j] over all optimal assignments.
+def extremal_diversity(ss: SortedScores, largest: bool, a: np.ndarray,
+                       w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Extreme of sum_j w[j] * a[slot j] over all optimal assignments: the
+    largest when `largest`, else the smallest. ss comes from sort_scores
+    with n = len(w), so its last group holds rank n.
 
     Per tie group the slot block's weights are fixed, so the extreme places
     high-a members on heavy slots (max) or low-a members there (min); the
-    boundary group additionally picks which members receive slots at all.
-    Returns (value, slots) with slots in local indices.
+    last group, when it straddles the cut, also picks which members receive
+    its slots before n. Returns (value, slots) with slots in local indices.
     """
-    if direction not in (MIN_DIVERSITY, MAX_DIVERSITY):
-        raise ValueError(f"unknown direction {direction!r}")
     n = w.shape[0]
-    if ts.unique:
-        slots = ss.order[:n]
-        return float(w.dot(a[slots])), slots
-
-    def arranged(members: np.ndarray, k: int) -> np.ndarray:
-        # Largest-a members first for the max (descending against
-        # descending weights), smallest first for the min.
-        av = a[members]
-        if direction == MAX_DIVERSITY:
-            av = -av
-        return members[av.argsort(kind="stable")[:k]]
-
-    # Groups inside the top n keep their slot block; a straddling cut group
-    # gives its members' slots to the tied members that arranged() puts first.
-    slots = ss.order[:n].copy()
-    inside = ts.cut_group if ts.slots_in_tied else ts.cut_group + 1
-    if inside != ts.certain.shape[0]:  # some group inside has several members
-        starts = ss.starts[:inside]
-        ends = ss.ends[:inside]
-        for g in ((ends - starts) > 1).nonzero()[0].tolist():
-            start, end = int(starts[g]), int(ends[g])
-            slots[start:end] = arranged(ss.order[start:end], end - start)
-    if ts.slots_in_tied:
-        slots[ts.certain.shape[0]:] = arranged(ts.tied, ts.slots_in_tied)
+    slots = ss.order[:n]
+    if not ss.unique:
+        slots = slots.copy()
+        for g in ((ss.ends - ss.starts) > 1).nonzero()[0].tolist():
+            start, end = int(ss.starts[g]), int(ss.ends[g])
+            members = ss.order[start:end]
+            # Largest-a members first for the max (descending against
+            # descending weights), smallest first for the min; slots[start:end]
+            # stops at n, so the last group gives only its slots before n.
+            av = -a[members] if largest else a[members]
+            slots[start:end] = members[av.argsort(kind="stable")[:n - start]]
     return float(w.dot(a[slots])), slots
 
 
@@ -218,8 +173,7 @@ def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray,
     n = w.shape[0]
     ss = sort_scores(c, tau, n)
     value = float(w.dot(ss.values[:n]))
-    ts = top_n_with_ties(ss, n)
-    min_div, slots_min = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
-    max_div, slots_max = ((min_div, slots_min) if ts.unique else
-                          extremal_diversity(ss, ts, a, w, MAX_DIVERSITY))
+    min_div, slots_min = extremal_diversity(ss, False, a, w)
+    max_div, slots_max = ((min_div, slots_min) if ss.unique else
+                          extremal_diversity(ss, True, a, w))
     return UnconstrainedResult(value, min_div, max_div, slots_min, slots_max)

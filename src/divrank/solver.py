@@ -107,33 +107,28 @@ class BisectionResult:
     state: DualSearchState
 
 
-def _extreme_slots(a: np.ndarray, n: int, *, largest: bool) -> np.ndarray:
-    """Positions of the n largest values of a, largest first, or of the n
-    smallest, smallest first, so the heaviest slot takes the most extreme
-    value; only those n are sorted."""
+def _diversity_extreme(inst: Instance | OneSidedInstance, *,
+                       largest: bool) -> tuple[float, np.ndarray]:
+    """Largest or smallest weighted diversity over all assignments, and its
+    slots: the n largest values of a, largest first, or the n smallest,
+    smallest first, so the heaviest slot takes the most extreme value; only
+    those n are sorted."""
+    a, n = inst.a, inst.n
     if largest:
         cut = a.shape[0] - n
         slots = a.argpartition(cut)[cut:]
-        return slots[(-a[slots]).argsort(kind="stable")]
-    slots = a.argpartition(n - 1)[:n]
-    return slots[a[slots].argsort(kind="stable")]
-
-
-def _div_min(inst: Instance) -> float:
-    """Smallest weighted diversity: the heaviest slots take the smallest
-    diversity scores."""
-    return float(np.dot(inst.w, inst.a[_extreme_slots(inst.a, inst.n, largest=False)]))
-
-
-def _div_max(inst: Instance) -> float:
-    """Largest weighted diversity, from the n largest diversity scores."""
-    return float(np.dot(inst.w, inst.a[_extreme_slots(inst.a, inst.n, largest=True)]))
+        slots = slots[(-a[slots]).argsort(kind="stable")]
+    else:
+        slots = a.argpartition(n - 1)[:n]
+        slots = slots[a[slots].argsort(kind="stable")]
+    return float(np.dot(inst.w, a[slots])), slots
 
 
 def precheck_feasibility(inst: Instance) -> FeasibilityReport:
     """Range of weighted diversity over all assignments, and whether it
     meets [b1, b2]."""
-    div_min, div_max = _div_min(inst), _div_max(inst)
+    div_min = _diversity_extreme(inst, largest=False)[0]
+    div_max = _diversity_extreme(inst, largest=True)[0]
     feasible = max(inst.b1, div_min) <= min(inst.b2, div_max)
     return FeasibilityReport(feasible=feasible, div_min=div_min, div_max=div_max)
 
@@ -354,7 +349,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
                 # The first trial left the bracket open: settle feasibility,
                 # and drop the pre-screen, whose bracket [0, 1] was wrong.
                 if state.lam == 1.0:
-                    if _div_min(inst) > inst.b2:
+                    if _diversity_extreme(inst, largest=False)[0] > inst.b2:
                         raise InfeasibleError("every assignment's diversity exceeds b2")
                     if state.prescreen_pending:
                         state.active, state.prescreen_pending = ActiveSet.full(inst), False
@@ -431,10 +426,8 @@ def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
         # Give up on near-optimality: mix the global diversity extremes,
         # which a closed bracket or the search's range check guarantees
         # straddle the feasible band.
-        s1 = _extreme_slots(inst.a, inst.n, largest=False)
-        s2 = _extreme_slots(inst.a, inst.n, largest=True)
-        d1 = float(np.dot(inst.w, inst.a[s1]))
-        d2 = float(np.dot(inst.w, inst.a[s2]))
+        d1, s1 = _diversity_extreme(inst, largest=False)
+        d2, s2 = _diversity_extreme(inst, largest=True)
     mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
     # g(lam_hat) bounds the optimum in exact arithmetic; rounding moves it.
     slack = _rounding_allowance(inst, lam_hat, ev.g, c_max, a_max)

@@ -11,10 +11,9 @@ import pytest
 from conftest import random_one_sided_arrays, random_tiny_instance, rel_close
 from divrank.cli import ALG_BISECTION, ALG_SCREENING, REFERENCE_SCREENING_MS, run_benchmark
 from divrank.datagen import GenConfig, gen_synthetic, noise_replicate
-from divrank.dual import (ActiveSet, OneSidedInstance, eval_dual,
-                          kink_tie_tol, trace_kinks)
+from divrank.dual import ActiveSet, OneSidedInstance, eval_dual, kink_tie_tol
 from divrank.oracle import (brute_force_tiny, oracle_dual_breakpoints,
-                            oracle_kink_set, oracle_support)
+                            oracle_kink_set, oracle_support, trace_kinks)
 from divrank.rank import unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
                             reduce_two_sided, solve)

@@ -45,11 +45,16 @@ class TestSolveCommand:
             assert with_screen[key] == without[key]
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{oops", encoding="utf-8")
-        assert main(["solve", "--input", str(path)]) == EXIT_INVALID
-        err = json.loads(capsys.readouterr().err)
-        assert err["status"] == "Invalid" and err["errors"]
+        # Broken syntax, bytes that are not UTF-8, and nesting past the
+        # decoder's recursion limit.
+        for content in (b"{oops", b'{"m": "\xff\xfe"}',
+                        b"[" * 3000 + b"]" * 3000):
+            path = tmp_path / "broken.json"
+            path.write_bytes(content)
+            assert main(["solve", "--input", str(path)]) == EXIT_INVALID
+            err = json.loads(capsys.readouterr().err)
+            assert err["status"] == "Invalid" and err["errors"]
+            assert err["messages"][0].startswith("not valid JSON: ")
 
     def test_invalid_instance_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_weights
-from divrank.rank import (MAX_DIVERSITY, MIN_DIVERSITY, SAMPLE_RANK,
-                          SELECT_SLACK, SortedScores, TopSet, extremal_diversity,
-                          sort_scores, top_n_with_ties, unconstrained_extremes)
+from divrank.rank import (SAMPLE_RANK, SELECT_SLACK, SortedScores,
+                          extremal_diversity, sort_scores, unconstrained_extremes)
 from divrank.model import validate_instance
 
 
@@ -20,10 +19,9 @@ def groups_of(ss):
 
 
 def full_sort_reference(z, tau, n):
-    """sort_scores as a full stable argsort over every score, with the top
-    set read off it: the reference the selecting version must reproduce up
-    to the group holding rank n. Returns (sorted scores, top set, index of
-    the group holding rank n)."""
+    """sort_scores as a full stable argsort over every score, cut after the
+    group holding rank n: the reference the selecting version must
+    reproduce."""
     z = np.asarray(z, dtype=np.float64)
     order = np.argsort(-z, kind="stable")
     values = z[order]
@@ -35,14 +33,9 @@ def full_sort_reference(z, tau, n):
         starts = np.zeros(1, dtype=np.intp)
         ends = np.full(1, values.shape[0], dtype=np.intp)
     g = int(np.searchsorted(starts, n - 1, side="right") - 1)
-    start, end = int(starts[g]), int(ends[g])
-    if end == n:
-        ts = TopSet(order[:n], order[:0], 0, n, g)
-    else:
-        ts = TopSet(order[:start], order[start:end], n - start, end, g)
-    ss = SortedScores(order=order, values=values, starts=starts, ends=ends,
-                      tau=float(tau))
-    return ss, ts, g
+    end = int(ends[g])
+    return SortedScores(order=order[:end], values=values[:end],
+                        starts=starts[:g + 1], ends=ends[:g + 1])
 
 
 TAU = 1e-3
@@ -80,25 +73,21 @@ def scores_and_cut(draw):
     return rng.permutation(z), tau, n
 
 
-def assert_selection_matches(z, tau, n, ref, ts_ref, g):
-    """sort_scores(z, tau, n) ends with the group holding rank n, and
-    everything up to it is what the full sort `ref` gives."""
+def assert_selection_matches(z, tau, n, ref):
+    """sort_scores(z, tau, n) is the full sort `ref` cut after the group
+    holding rank n."""
     ss = sort_scores(z, tau, n)
-    top_end = int(ref.ends[g])
-    assert ss.order.tolist() == ref.order[:top_end].tolist()
-    assert ss.values.tolist() == ref.values[:top_end].tolist()
-    assert ss.starts.tolist() == ref.starts[:g + 1].tolist()
-    assert ss.ends.tolist() == ref.ends[:g + 1].tolist()
-    ts = top_n_with_ties(ss, n)
-    assert ts.certain.tolist() == ts_ref.certain.tolist()
-    assert ts.tied.tolist() == ts_ref.tied.tolist()
-    assert (ts.slots_in_tied, ts.top_end, ts.cut_group) == (
-        ts_ref.slots_in_tied, ts_ref.top_end, ts_ref.cut_group)
+    assert ss.order.tolist() == ref.order.tolist()
+    assert ss.values.tolist() == ref.values.tolist()
+    assert ss.starts.tolist() == ref.starts.tolist()
+    assert ss.ends.tolist() == ref.ends.tolist()
+    # Unique: every group meeting the top n is a single candidate.
+    assert ss.unique == bool(np.all(ref.ends - ref.starts == 1))
     a = np.random.default_rng(n).normal(size=z.shape[0])
     w = np.linspace(2.0, 1.0, n)
-    for direction in (MIN_DIVERSITY, MAX_DIVERSITY):
-        val, slots = extremal_diversity(ss, ts, a, w, direction)
-        val_ref, slots_ref = extremal_diversity(ref, ts_ref, a, w, direction)
+    for largest in (False, True):
+        val, slots = extremal_diversity(ss, largest, a, w)
+        val_ref, slots_ref = extremal_diversity(ref, largest, a, w)
         assert val == val_ref and slots.tolist() == slots_ref.tolist()
 
 
@@ -127,7 +116,7 @@ class TestSelectionMatchesFullSort:
     @given(scores_and_cut())
     def test_prefix_and_groups_match_full_sort(self, case):
         z, tau, n = case
-        assert_selection_matches(z, tau, n, *full_sort_reference(z, tau, n))
+        assert_selection_matches(z, tau, n, full_sort_reference(z, tau, n))
 
     @pytest.mark.parametrize("m", [6000, 20000, 100000])
     @pytest.mark.parametrize("kind", ["gaussian", "ascending", "descending",
@@ -137,7 +126,7 @@ class TestSelectionMatchesFullSort:
         for n in (1, 10, 30):
             # tau = 0, and the relative tolerance kink evaluations use.
             for tau in (0.0, 1e-9 * float(np.abs(z).max())):
-                assert_selection_matches(z, tau, n, *full_sort_reference(z, tau, n))
+                assert_selection_matches(z, tau, n, full_sort_reference(z, tau, n))
 
     def test_sample_holding_the_top_scores_widens(self):
         # The top scores sit exactly where the strided sample looks, so the
@@ -147,7 +136,7 @@ class TestSelectionMatchesFullSort:
         z = np.random.default_rng(313).random(m)
         z[::step][:SAMPLE_RANK] = 10.0 - np.arange(SAMPLE_RANK)
         assert (z >= z[(SAMPLE_RANK - 1) * step]).sum() < n
-        assert_selection_matches(z, 0.0, n, *full_sort_reference(z, 0.0, n))
+        assert_selection_matches(z, 0.0, n, full_sort_reference(z, 0.0, n))
 
     def test_tau_chain_past_the_threshold_comes_back_whole(self):
         # Ranks 5..5000 form one chain of gaps 0.9 tau, so every threshold
@@ -157,9 +146,9 @@ class TestSelectionMatchesFullSort:
                             5.0 - 0.9 * tau * np.arange(4996),
                             -1.0 - np.arange(m - 5000, dtype=float)))
         z = z[np.random.default_rng(314).permutation(m)]
-        ref, ts_ref, g = full_sort_reference(z, tau, 10)
-        assert (ref.starts[g], ref.ends[g]) == (4, 5000)
-        assert_selection_matches(z, tau, 10, ref, ts_ref, g)
+        ref = full_sort_reference(z, tau, 10)
+        assert (ref.starts[-1], ref.ends[-1]) == (4, 5000)
+        assert_selection_matches(z, tau, 10, ref)
 
     def test_distinct_scores_sort_only_a_block(self):
         z = np.random.default_rng(310).permutation(np.arange(100_000, dtype=float))
@@ -221,26 +210,27 @@ class TestSortScores:
 
 
 class TestTopNWithTies:
+    """The top n with boundary ties, read off sort_scores: the last group
+    holds rank n and straddles the cut when it ends past n."""
+
     def test_boundary_tie(self):
         ss = sort_scores(np.array([5.0, 3.0, 3.0, 1.0]), 0.0, 2)
-        ts = top_n_with_ties(ss, 2)
-        assert set(ts.certain.tolist()) == {0}
-        assert set(ts.tied.tolist()) == {1, 2}
-        assert ts.slots_in_tied == 1
-        assert set(ss.order[:ts.top_end].tolist()) == {0, 1, 2}
+        assert set(ss.order.tolist()) == {0, 1, 2}
+        assert set(ss.order[:ss.starts[-1]].tolist()) == {0}  # certain
+        assert set(ss.order[ss.starts[-1]:].tolist()) == {1, 2}  # tied
+        assert 2 - ss.starts[-1] == 1  # slots the tied members share
+        assert ss.ends[-1] > 2 and not ss.unique
 
     def test_clean_cut(self):
         ss = sort_scores(np.array([3.0, 2.0, 0.0]), 0.0, 2)
-        ts = top_n_with_ties(ss, 2)
-        assert set(ts.certain.tolist()) == {0, 1}
-        assert ts.tied.size == 0 and ts.slots_in_tied == 0
+        assert ss.order.tolist() == [0, 1]
+        assert ss.ends[-1] == 2 and ss.unique
 
     def test_total_tie(self):
         ss = sort_scores(np.array([1.0, 1.0, 1.0]), 0.0, 2)
-        ts = top_n_with_ties(ss, 2)
-        assert ts.certain.size == 0
-        assert set(ts.tied.tolist()) == {0, 1, 2}
-        assert ts.slots_in_tied == 2
+        assert ss.starts.tolist() == [0] and ss.ends.tolist() == [3]
+        assert set(ss.order.tolist()) == {0, 1, 2}
+        assert not ss.unique
 
     def test_counting_invariants_random(self):
         for rep in range(50):
@@ -248,23 +238,24 @@ class TestTopNWithTies:
             m = int(rng.integers(1, 12))
             n = int(rng.integers(1, m + 1))
             z = np.round(rng.normal(size=m), 1)
-            ts = top_n_with_ties(sort_scores(z, 0.0, n), n)
-            assert ts.certain.size + ts.slots_in_tied == n
-            assert ts.certain.size + ts.tied.size == ts.top_end >= n
-            assert ts.slots_in_tied <= ts.tied.size
+            ss = sort_scores(z, 0.0, n)
+            # The last group holds rank n: it starts at or before slot n - 1
+            # and ends at or after slot n.
+            assert ss.starts[-1] < n <= ss.ends[-1] == ss.order.shape[0]
+            assert ss.unique == (ss.order.shape[0] == n
+                                 and np.all(ss.ends - ss.starts == 1))
             # Membership matches the counting definition of the top set.
             member = {i for i in range(m) if np.sum(z > z[i]) <= n - 1}
-            assert set(ts.certain.tolist()) | set(ts.tied.tolist()) == member
+            assert set(ss.order.tolist()) == member
 
     def test_invariant_under_scale_and_shift(self):
         rng = np.random.default_rng(302)
         z = np.round(rng.normal(size=9), 1)
-        ts = top_n_with_ties(sort_scores(z, 0.0, 4), 4)
-        z2 = 3.7 * z + 11.0
-        ts2 = top_n_with_ties(sort_scores(z2, 0.0, 4), 4)
-        assert set(ts.certain.tolist()) == set(ts2.certain.tolist())
-        assert set(ts.tied.tolist()) == set(ts2.tied.tolist())
-        assert ts.slots_in_tied == ts2.slots_in_tied
+        ss = sort_scores(z, 0.0, 4)
+        ss2 = sort_scores(3.7 * z + 11.0, 0.0, 4)
+        assert ss.order.tolist() == ss2.order.tolist()
+        assert ss.starts.tolist() == ss2.starts.tolist()
+        assert ss.ends.tolist() == ss2.ends.tolist()
 
 
 class TestExtremalDiversity:
@@ -273,9 +264,8 @@ class TestExtremalDiversity:
         a = np.array([1.0, -1.0, 0.0])
         w = np.array([1.0])
         ss = sort_scores(z, 0.0, 1)
-        ts = top_n_with_ties(ss, 1)
-        vmax, smax = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
-        vmin, smin = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
+        vmax, smax = extremal_diversity(ss, True, a, w)
+        vmin, smin = extremal_diversity(ss, False, a, w)
         assert (vmax, smax.tolist()) == (1.0, [0])
         assert (vmin, smin.tolist()) == (-1.0, [1])
 
@@ -284,9 +274,8 @@ class TestExtremalDiversity:
         a = np.array([1.0, -1.0, 0.0])
         w = np.array([2.0, 1.0])
         ss = sort_scores(z, 0.0, 2)
-        ts = top_n_with_ties(ss, 2)
-        vmax, _ = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
-        vmin, _ = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
+        vmax, _ = extremal_diversity(ss, True, a, w)
+        vmin, _ = extremal_diversity(ss, False, a, w)
         assert vmax == vmin == 1.0
 
     def test_three_way_tie_two_slots(self):
@@ -294,17 +283,10 @@ class TestExtremalDiversity:
         a = np.array([5.0, 1.0, 3.0])
         w = np.array([2.0, 1.0])
         ss = sort_scores(z, 0.0, 2)
-        ts = top_n_with_ties(ss, 2)
-        vmax, _ = extremal_diversity(ss, ts, a, w, MAX_DIVERSITY)
-        vmin, _ = extremal_diversity(ss, ts, a, w, MIN_DIVERSITY)
+        vmax, _ = extremal_diversity(ss, True, a, w)
+        vmin, _ = extremal_diversity(ss, False, a, w)
         assert vmax == 13.0  # 2*5 + 1*3
         assert vmin == 5.0   # 2*1 + 1*3
-
-    def test_unknown_direction_rejected(self):
-        ss = sort_scores(np.array([1.0, 0.0]), 0.0, 1)
-        ts = top_n_with_ties(ss, 1)
-        with pytest.raises(ValueError):
-            extremal_diversity(ss, ts, np.zeros(2), np.ones(1), "median")
 
     def test_matches_exhaustive_enumeration(self):
         for rep in range(200):
@@ -339,9 +321,8 @@ class TestExtremalDiversity:
             a = rng.normal(size=m)
             w = strict_weights(rng, n)
             ss = sort_scores(z, 0.0, n)
-            ts = top_n_with_ties(ss, n)
-            for direction, side in ((MAX_DIVERSITY, 1.0), (MIN_DIVERSITY, -1.0)):
-                val, slots = extremal_diversity(ss, ts, a, w, direction)
+            for largest, side in ((True, 1.0), (False, -1.0)):
+                val, slots = extremal_diversity(ss, largest, a, w)
                 base_obj = float(np.dot(w, z[slots]))
                 for i in range(n):
                     for j in range(i + 1, n):
@@ -382,8 +363,8 @@ class TestSolveUnconstrained:
             m = int(rng.integers(1, 30))
             n = int(rng.integers(1, min(m, 8) + 1))
             z = rng.normal(size=m)  # continuous: distinct w.p. 1
-            ts = top_n_with_ties(sort_scores(z, 0.0, n), n)
-            assert ts.tied.size == 0 and ts.certain.size == n
+            ss = sort_scores(z, 0.0, n)
+            assert ss.unique and ss.order.shape[0] == n
             un = unconstrained_extremes(z, rng.normal(size=m), strict_weights(rng, n))
             assert un.min_div == un.max_div
             assert un.slots_min.tolist() == un.slots_max.tolist()

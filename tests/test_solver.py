@@ -16,7 +16,7 @@ from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            STATUS_UPPER_ACTIVE, default_weights,
                            validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
-from divrank.rank import sort_scores, top_n_with_ties, unconstrained_extremes
+from divrank.rank import sort_scores, unconstrained_extremes
 from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
                             REDUCE_UPPER, DualSearchState, InfeasibleError,
                             SolveOptions, precheck_feasibility, recover_primal,
@@ -104,11 +104,17 @@ class TestPrecheck:
 @pytest.fixture
 def div_min_calls(monkeypatch):
     """One entry per smallest-diversity pass: the dual search's range check,
-    or the precheck behind an InfeasibleError's report."""
+    the precheck behind an InfeasibleError's report, or the bracket
+    fallback's global extremes."""
     calls = []
-    real = solver_module._div_min
-    monkeypatch.setattr(solver_module, "_div_min",
-                        lambda inst: calls.append(1) or real(inst))
+    real = solver_module._diversity_extreme
+
+    def counted(inst, *, largest):
+        if not largest:
+            calls.append(1)
+        return real(inst, largest=largest)
+
+    monkeypatch.setattr(solver_module, "_diversity_extreme", counted)
     return calls
 
 
@@ -463,12 +469,11 @@ def prescreen_cases(draw):
     return OneSidedInstance(c, a, w, float(rng.normal()))
 
 
-def _top_set(ev):
-    """ev's sorted scores and its top set with boundary ties, recomputed
-    from ev.z; ev's slot arrays hold n entries."""
-    n = ev.slots_min.shape[0]
-    ss = sort_scores(ev.z, ev.tau, n)
-    return ss, top_n_with_ties(ss, n)
+def _sorted_top(ev):
+    """ev's sorted scores through the group holding rank n, recomputed from
+    ev.z (ev's slot arrays hold n entries): their order is the top set with
+    its boundary ties."""
+    return sort_scores(ev.z, ev.tau, ev.slots_min.shape[0])
 
 
 class TestScreening:
@@ -493,7 +498,8 @@ class TestScreening:
         state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
                                 active=ActiveSet.full(one))
         ev = eval_dual(one, 0.5, state.active)
-        assert top_n_with_ties(sort_scores(ev.z, ev.tau, 1), 1).tied.tolist() == [0, 1]
+        ss = sort_scores(ev.z, ev.tau, 1)
+        assert ss.order[ss.starts[-1]:].tolist() == [0, 1]  # the straddling group
         assert screen_candidates(state, one, ev).tolist() == [2]
         assert state.active.indices.tolist() == [0, 1]
 
@@ -529,8 +535,8 @@ class TestScreening:
         dropped = screen_candidates(state, one, eval_dual(one, lo if at_lo else hi, full))
         survivors = state.active.indices
         for lam in (lo, mid, hi):
-            ss, ts = _top_set(eval_dual(one, lam, full))
-            assert np.isin(ss.order[:ts.top_end], survivors).all()
+            assert np.isin(_sorted_top(eval_dual(one, lam, full)).order,
+                           survivors).all()
         assert not np.isin(dropped, survivors).any()
         assert sorted(dropped.tolist() + survivors.tolist()) == list(range(one.m))
 
@@ -555,16 +561,14 @@ class TestScreening:
 
 
 def _global_view(ev, active):
-    """Every field of an evaluation, and its sorted scores and top set, in
-    original indices."""
-    ss, ts = _top_set(ev)
+    """Every field of an evaluation, and its sorted scores, in original
+    indices."""
+    ss = _sorted_top(ev)
     idx = active.indices
     return (ev.lam, ev.g, ev.g_minus, ev.g_plus, ev.min_div, ev.max_div,
             idx[ev.slots_min].tolist(), idx[ev.slots_max].tolist(), ev.tau,
             idx[ss.order].tolist(), ss.values.tolist(), ss.starts.tolist(),
-            ss.ends.tolist(), ss.tau,
-            idx[ts.certain].tolist(), idx[ts.tied].tolist(), ts.slots_in_tied,
-            ts.top_end, ts.cut_group)
+            ss.ends.tolist(), ss.unique)
 
 
 def first_trial_optimal_instance():
@@ -599,8 +603,7 @@ class TestPrescreen:
         # Sound on all of [0, 1]: every top-n member with boundary ties
         # survives, ties at lambda = 0 included.
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            ss, ts = _top_set(eval_dual(one, lam, full))
-            assert kept[ss.order[:ts.top_end]].all()
+            assert kept[_sorted_top(eval_dual(one, lam, full)).order].all()
 
     @pytest.mark.parametrize("m, n", [(20_000, 10), (100_000, 30),
                                       (20_000, 9_000), (9_000, 8_500)])
@@ -696,7 +699,7 @@ class TestScreenReports:
         assert sum(screen_reports) == sol.stats.dropped == 0
         # b2 just above the smallest diversity puts lambda* far past 1, so
         # the pre-screen's survivors are discarded and drops come later.
-        lo = solver_module._div_min(inst)
+        lo = solver_module._diversity_extreme(inst, largest=False)[0]
         tight = validate_instance(inst.m, inst.n, inst.c, inst.a, inst.w,
                                   lo - 1.0, lo + 1e-3 * (inst.b2 - lo))
         sizes = []
