@@ -50,10 +50,6 @@ class InfeasibleError(Exception):
         self.report = report
 
 
-class BracketOnlyError(Exception):
-    """Exact recovery was asked for but only a bracket is available."""
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Whether [b1, b2] is reachable, with the extreme weighted diversities
@@ -99,10 +95,12 @@ class Reduction:
 
 @dataclass(frozen=True)
 class BisectionResult:
-    """The search's end: state.active is the set the evaluation ran over."""
+    """The search's end: lambda* and the evaluation there, or None and an
+    evaluation at the bracket's finite end when the search gave up on
+    exactness. state.active is the set the evaluation ran over."""
 
     lambda_star: Optional[float]
-    evaluation: Optional[DualEvaluation]
+    evaluation: DualEvaluation
     bracket: tuple[float, float]
     state: DualSearchState
 
@@ -300,7 +298,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
     check, div_min > b2, raises InfeasibleError; otherwise doubling goes on
     up to LAMBDA_LIMIT and ends with no lambda*. The search also ends with
     no lambda* at a bracket BRACKET_FLOOR wide or after MAX_EVALUATIONS
-    evaluations of g.
+    evaluations of g; it then returns one more evaluation, not counted in
+    iterations, at the bracket's finite end with the kink tie tolerance.
     """
     opts = opts or SolveOptions()
     active = _prescreen(inst) if opts.screening else ActiveSet.full(inst)
@@ -335,8 +334,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
             # A kink nearer than half an ulp rounds onto state.lam itself;
             # the kink tolerance still certifies it there.
             if k is not None and math.isfinite(k):
-                zk = state.active.c - k * state.active.a
-                ev_k = eval_dual(inst, k, state.active, tau=kink_tie_tol(zk))
+                ev_k = _eval_at_kink(inst, k, state.active)
                 state.iterations += 1
                 if _optimal(ev_k):
                     bracket = ((state.lam, state.lambda_max) if forward
@@ -376,22 +374,33 @@ def solve_dual_bisection(inst: OneSidedInstance,
         if state.lambda_max - state.lambda_min <= BRACKET_FLOOR:
             break
 
-    return BisectionResult(None, None, (state.lambda_min, state.lambda_max), state)
+    lo, hi = state.lambda_min, state.lambda_max
+    ev = _eval_at_kink(inst, hi if math.isfinite(hi) else lo, state.active)
+    return BisectionResult(None, ev, (lo, hi), state)
 
 
-def recover_primal(lambda_star: Optional[float],
-                   evaluation: Optional[DualEvaluation],
-                   inst: OneSidedInstance, active: ActiveSet) -> PrimalMixture:
-    """Mix the two diversity-extreme maximizers at lambda* so the upper
-    bound holds with equality; both are dual-optimal, so the mixture's
-    objective equals g(lambda*) and strong duality is exact. active is the
-    set the evaluation ran over; its indices turn the evaluation's slot
-    positions into candidates."""
-    if lambda_star is None or evaluation is None:
-        raise BracketOnlyError("no exact lambda*; only a bracket is available")
-    return _mix_extremes(inst.c, inst.w, active.indices[evaluation.slots_min],
-                         active.indices[evaluation.slots_max],
-                         evaluation.min_div, evaluation.max_div, inst.b2)
+def _eval_at_kink(inst: OneSidedInstance, lam: float,
+                  active: ActiveSet) -> DualEvaluation:
+    """eval_dual at lam with the kink tie tolerance of the scores there."""
+    z = active.c - lam * active.a
+    return eval_dual(inst, lam, active, tau=kink_tie_tol(z))
+
+
+def recover_primal(ev: DualEvaluation, inst: OneSidedInstance,
+                   active: ActiveSet, b1: float) -> PrimalMixture:
+    """Mix the two diversity-extreme maximizers at ev.lam toward b2, or
+    toward their largest diversity if lower. At lambda* they straddle b2,
+    so the bound holds with equality and the objective equals g(lambda*).
+    At an inexact end whose face misses [b1, b2] (b1 in the reduced sign
+    convention) the global diversity extremes are mixed instead: a closed
+    bracket or the search's range check makes them straddle the band.
+    active is the set ev ran over; its indices map ev's slot positions."""
+    s1, s2 = active.indices[ev.slots_min], active.indices[ev.slots_max]
+    d1, d2 = ev.min_div, ev.max_div
+    if max(b1, d1) > min(inst.b2, d2):
+        d1, s1 = _diversity_extreme(inst, largest=False)
+        d2, s2 = _diversity_extreme(inst, largest=True)
+    return _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
 
 
 def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
@@ -404,34 +413,13 @@ def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
     return (inst.n + 2) * math.ulp(1.0) * scale
 
 
-def _bracket_fallback(inst: OneSidedInstance, result: BisectionResult,
-                      b1: float, c_max: float,
-                      a_max: float) -> tuple[PrimalMixture, float, float]:
-    """Feasible mixture from an inexact bracket, with a weak-duality gap
-    bound. Reached when the search ends without lambda*: after
-    MAX_EVALUATIONS, at a bracket BRACKET_FLOOR wide, or past LAMBDA_LIMIT.
-    b1 is the lower diversity bound expressed in the reduced sign
-    convention; c_max, a_max are max|c|, max|a| of inst."""
-    lo, hi = result.bracket
-    lam_hat = hi if np.isfinite(hi) else lo
-    active = result.state.active
-    z = active.c - lam_hat * active.a
-    ev = eval_dual(inst, lam_hat, active, tau=kink_tie_tol(z))
-    s1, s2 = active.indices[ev.slots_min], active.indices[ev.slots_max]
-    d1, d2 = ev.min_div, ev.max_div
-    # When the maximizing face at lam_hat reaches the feasible band, the
-    # largest feasible diversity among mixtures of its extremes carries the
-    # best original objective (they tie on (c - lam a)' X w).
-    if max(b1, d1) > min(inst.b2, d2):
-        # Give up on near-optimality: mix the global diversity extremes,
-        # which a closed bracket or the search's range check guarantees
-        # straddle the feasible band.
-        d1, s1 = _diversity_extreme(inst, largest=False)
-        d2, s2 = _diversity_extreme(inst, largest=True)
-    mixture = _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
-    # g(lam_hat) bounds the optimum in exact arithmetic; rounding moves it.
-    slack = _rounding_allowance(inst, lam_hat, ev.g, c_max, a_max)
-    return mixture, max(0.0, ev.g - mixture.objective) + slack, lam_hat
+def _scaled_bound(b: float, shift: int) -> float:
+    """b * 2**shift, saturating to +-inf: a bound that far out lies beyond
+    every diversity the rescaled problem can reach."""
+    try:
+        return math.ldexp(b, shift)
+    except OverflowError:
+        return math.copysign(math.inf, b)
 
 
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
@@ -450,11 +438,13 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
                         mixture=red.mixture, stats=stats)
 
     one = red.one_sided
+    b1 = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
     c_max, a_max = _magnitudes(one)
     shift = _scale_exponent(c_max, a_max)
     if shift:
         one = OneSidedInstance(one.c, np.ldexp(one.a, shift), one.w,
-                               math.ldexp(one.b2, shift))
+                               _scaled_bound(one.b2, shift))
+        b1 = _scaled_bound(b1, shift)
         a_max = math.ldexp(a_max, shift)
     try:
         result = solve_dual_bisection(one, opts)
@@ -463,27 +453,21 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         raise InfeasibleError(
             f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre) from None
-    if result.lambda_star is not None:
-        mixture = recover_primal(result.lambda_star, result.evaluation, one,
-                                 result.state.active)
-        lambda_star = result.lambda_star
-        exact = True
-        # Strong duality makes the two equal in exact arithmetic.
-        g = result.evaluation.g
-        gap = abs(g - mixture.objective) + _rounding_allowance(
-            one, lambda_star, g, c_max, a_max)
-    else:
-        b1_red = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
-        mixture, gap, lambda_star = _bracket_fallback(
-            one, result, math.ldexp(b1_red, shift), c_max, a_max)
-        exact = False
+    ev = result.evaluation
+    mixture = recover_primal(ev, one, result.state.active, b1)
+    exact = result.lambda_star is not None
+    # At lambda* strong duality makes g and the objective equal in exact
+    # arithmetic; elsewhere g bounds the optimum from above.
+    gap = abs(ev.g - mixture.objective) + _rounding_allowance(
+        one, ev.lam, ev.g, c_max, a_max)
+    if not exact:
         log.warning("bisection ended with bracket %s; returning endpoint "
                     "assignment with duality gap <= %.3g", result.bracket, gap)
     status = STATUS_UPPER_ACTIVE
     # Undo the power-of-two scaling of a exactly: lambda grows with it and the
     # diversity shrinks against it. Negating a dot product is exact too, so on
     # the lower-as-upper path this is the original diversity.
-    lambda_star = math.ldexp(lambda_star, shift)
+    lambda_star = math.ldexp(ev.lam, shift)
     if shift or red.kind == REDUCE_LOWER_AS_UPPER:
         diversity = math.ldexp(mixture.diversity, -shift)
         if red.kind == REDUCE_LOWER_AS_UPPER:

@@ -83,6 +83,16 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["status"] == "Infeasible"
 
+    def test_infeasible_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # Rescaling puts b2 near -1e10 * 2**997, beyond the float range.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"m": 2, "n": 1, "c": [1e300, 0.0],
+                                    "a": [1.0, 0.0], "w": None,
+                                    "b1": -1e10, "b2": -1e10}), encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_INFEASIBLE
+        err = json.loads(capsys.readouterr().err)
+        assert err["status"] == "Infeasible"
+
     def test_far_kink_is_solved(self, tmp_path, capsys):
         # Feasible, with lambda* = 2**50 past the doubling limit: the solve
         # ends on its bracket and returns a feasible answer.

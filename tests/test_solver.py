@@ -104,8 +104,8 @@ class TestPrecheck:
 @pytest.fixture
 def div_min_calls(monkeypatch):
     """One entry per smallest-diversity pass: the dual search's range check,
-    the precheck behind an InfeasibleError's report, or the bracket
-    fallback's global extremes."""
+    the precheck behind an InfeasibleError's report, or the global extremes
+    recover_primal mixes when an inexact end's face misses the band."""
     calls = []
     real = solver_module._diversity_extreme
 
@@ -426,6 +426,11 @@ class TestBisection:
         assert res.lambda_star is None
         lo, hi = res.bracket
         assert lo <= 0.5 <= hi
+        # One evaluation at the bracket's finite end, with the kink
+        # tolerance, not counted as an iteration.
+        assert res.evaluation.lam == (hi if math.isfinite(hi) else lo)
+        assert res.evaluation.tau > 0.0
+        assert res.state.iterations == 1
 
     def test_runaway_cap_stops_doubling(self, magnitude_calls, monkeypatch):
         # b2 below every diversity: g falls forever. The range check after
@@ -798,7 +803,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(0.5, ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
         assert mix.rho == pytest.approx(0.5)
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.objective == pytest.approx(2.5)
@@ -808,7 +813,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.0)
-        mix = recover_primal(0.0, ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
         assert mix.rho == 1.0
         assert mix.x1.slots == mix.x2.slots == (0,)
 
@@ -816,7 +821,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(0.5, ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
         assert mix.rho == 0.0
         assert mix.diversity == pytest.approx(1.0)
 
@@ -828,16 +833,24 @@ class TestRecoverPrimal:
         act = ActiveSet.full(one).keep(np.array([1, 2, 3]))
         ev = eval_dual(one, 0.5, act, tau=1e-9 * 2.5)
         assert ev.slots_min.tolist() == [1] and ev.slots_max.tolist() == [0]
-        mix = recover_primal(0.5, ev, one, act)
+        mix = recover_primal(ev, one, act, -math.inf)
         assert mix.x1.slots == (2,) and mix.x2.slots == (1,)
         assert mix.objective == pytest.approx(2.5)
 
-    def test_rejects_bracket_only(self):
-        one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
-                               np.array([1.0]), 0.5)
-        from divrank.solver import BracketOnlyError
-        with pytest.raises(BracketOnlyError):
-            recover_primal(None, None, one, ActiveSet.full(one))
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_face_missing_the_band_takes_the_global_extremes(self, lam):
+        # At 0 the top set is candidate 0 alone, diversity 1 > b2; at 10 it
+        # is candidate 1 alone, diversity -1 < b1. Either way the global
+        # extremes, candidates 1 and 0, are mixed down to b2.
+        one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
+                               np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
+        ev = self.eval_at(one, lam)
+        assert max(-0.5, ev.min_div) > min(one.b2, ev.max_div)
+        mix = recover_primal(ev, one, ActiveSet.full(one), -0.5)
+        assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
+        assert mix.rho == 0.5
+        assert -0.5 <= mix.diversity <= one.b2
+        assert mix.objective == 2.5
 
 
 class TestSolvePipeline:
@@ -1038,3 +1051,22 @@ class TestScoreScale:
         assert abs(sol.objective - ora.g_star) <= 1e-12 * abs(ora.g_star)
         assert abs(sol.lambda_star - ora.lambda_star) <= 1e-12 * ora.lambda_star
         assert abs(sol.diversity - inst.b2) <= 1e-12 * abs(inst.b2)
+
+    # c near 1e300 and a near 1 put the scale shift near 997, so a bound
+    # far from every diversity overflows when rescaled.
+    def test_far_bound_saturates_on_an_infeasible_instance(self):
+        inst = validate_instance(2, 1, [1e300, 0.0], [1.0, 0.0], None,
+                                 -1e10, -1e10)
+        with pytest.raises(InfeasibleError, match="misses"):
+            solve(inst)
+
+    def test_far_lower_bound_saturates(self, monkeypatch):
+        inst = validate_instance(3, 1, [1e300, 0.0, -1e300], [1.0, 0.0, -1.0],
+                                 None, -1e300, 0.5)
+        sol = solve(inst)
+        assert sol.stats.exact
+        assert sol.lambda_star == 1e300 and sol.objective == 5e299
+        monkeypatch.setattr(solver_module, "MAX_EVALUATIONS", 1)
+        sol = solve(inst)
+        assert not sol.stats.exact
+        assert inst.b1 <= sol.diversity <= inst.b2
