@@ -211,7 +211,8 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     da = a[:, None] - a
     # One orientation per pair, parallel ones skipped as in the kink step.
     pair = da > PARALLEL_RTOL * float(np.abs(a).max())
-    lam = (c[:, None] - c)[pair] / da[pair]
+    with np.errstate(over="ignore"):  # a crossing past the float range is inf
+        lam = (c[:, None] - c)[pair] / da[pair]
     lam = lam[(lam > lo) & (lam < hi)]
     if lam.size == 0:
         return None

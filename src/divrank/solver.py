@@ -30,14 +30,14 @@ REDUCE_ALREADY_OPTIMAL = "already_optimal"
 # many candidates.
 PRESCREEN_SAMPLE = 8192
 
-# Doubling stops past this (rescaled) lambda and falls back to the bracket:
-# beyond it c - lambda * a keeps too few bits of c for g to be trusted. It
-# bounds precision, not feasibility.
+# Doubling stops past this many units of lambda (see _unit) and falls back
+# to the bracket: beyond it c - lambda * a keeps too few bits of c for g to
+# be trusted. It bounds precision, not feasibility.
 LAMBDA_LIMIT = 2.0 ** 41
 
-# The search gives up on exactness when the (rescaled) bracket is this
-# narrow, or after this many evaluations of g. The cap is a safety bound:
-# solves take at most a few dozen evaluations.
+# The search gives up on exactness when the bracket is this many units of
+# lambda narrow, or after this many evaluations of g. The cap is a safety
+# bound: solves take at most a few dozen evaluations.
 BRACKET_FLOOR = 1e-10
 MAX_EVALUATIONS = 200
 
@@ -65,9 +65,9 @@ class FeasibilityReport:
 class SolveOptions:
     """Options of the dual search: screening drops candidates that cannot
     reach the top n inside the bracket. The search's bracket floor and
-    evaluation cap are fixed (BRACKET_FLOOR, MAX_EVALUATIONS), measured on
-    lambda after solve() rescales `a` by the power of two nearest
-    max|c| / max|a|."""
+    evaluation cap are fixed (BRACKET_FLOOR, MAX_EVALUATIONS); the floor is
+    measured in solve()'s unit of lambda, the power of two nearest
+    max|c| / max|a| (see _unit)."""
 
     screening: bool = True
 
@@ -80,7 +80,7 @@ class DualSearchState:
     active: ActiveSet
     iterations: int = 0
     screen_events: int = 0
-    # The pre-screen's drops await the first trial's verdict on [0, 1].
+    # The pre-screen's drops await the first trial's verdict on [0, unit].
     prescreen_pending: bool = False
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
 
@@ -191,17 +191,19 @@ def _magnitudes(inst: OneSidedInstance) -> tuple[float, float]:
             max(float(inst.a.max()), -float(inst.a.min())))
 
 
-def _scale_exponent(c_max: float, a_max: float) -> int:
-    """k such that 2**k is the power of two nearest c_max / a_max on a log
-    scale; 0 when either is 0. Multiplying a by 2**k puts lambda* near the
-    scale of 1, where doubling from 1 and the absolute BRACKET_FLOOR work,
-    and is exact in floating point. Computed from exponent and mantissa so
-    that scaling c or a by a power of two shifts k by exactly that power."""
+def _unit(c_max: float, a_max: float) -> float:
+    """2**k, the power of two nearest c_max / a_max on a log scale, with k
+    clamped to [-1022, 1023] so the unit is a normal float; 1.0 when either
+    is 0. lambda* lies near the unit, so the search doubles from it and
+    measures its limit and floor in it; scaling lambda by a power of two is
+    exact. k is computed from exponent and mantissa so that scaling c or a
+    by a power of two shifts k by exactly that power."""
     if c_max == 0.0 or a_max == 0.0:
-        return 0
+        return 1.0
     mc, ec = math.frexp(c_max)
     ma, ea = math.frexp(a_max)
-    return ec - ea + round(math.log2(mc / ma))
+    k = ec - ea + round(math.log2(mc / ma))
+    return math.ldexp(1.0, min(max(k, -1022), 1023))
 
 
 def _reaches_witnesses(z1: np.ndarray, z2: np.ndarray,
@@ -230,7 +232,7 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     candidates reaching T's minimum, the n-th largest score, are exactly
     the top set with boundary ties. Drops of the pre-screen (see
     _prescreen), held back until the first trial confirms its bracket
-    [0, 1], are reported with this call's. Returns every drop reported,
+    [0, unit], are reported with this call's. Returns every drop reported,
     as ascending original indices.
     """
     act = state.active
@@ -257,16 +259,17 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     return dropped
 
 
-def _prescreen(inst: OneSidedInstance) -> ActiveSet:
-    """Survivors of the screening rule (_reaches_witnesses) over [0, 1].
-    The witnesses are the n candidates whose smaller end score,
-    min(c, c - a), is largest among every step-th candidate, where step
-    keeps that sample near PRESCREEN_SAMPLE: such a witness set has both of
-    its thresholds high. Survivors keep ascending index order and every
-    candidate scoring at least the n-th largest at lambda = 1, so an
-    evaluation at 1 over them equals the full-width one."""
+def _prescreen(inst: OneSidedInstance, unit: float = 1.0) -> ActiveSet:
+    """Survivors of the screening rule (_reaches_witnesses) over
+    [0, unit]. The witnesses are the n candidates whose smaller end score,
+    min(c, c - unit a), is largest among every step-th candidate, where
+    step keeps that sample near PRESCREEN_SAMPLE: such a witness set has
+    both of its thresholds high. Survivors keep ascending index order and
+    every candidate scoring at least the n-th largest at lambda = unit, so
+    an evaluation at unit over them equals the full-width one."""
     c = inst.c
-    z = c - inst.a  # bit for bit eval_dual's c + (-1) a
+    z = inst.a * -unit  # bit for bit eval_dual's z at lambda = unit
+    z += c
     step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
     q = np.minimum(c[::step], z[::step])
     cut = q.shape[0] - inst.n
@@ -276,34 +279,37 @@ def _prescreen(inst: OneSidedInstance) -> ActiveSet:
 
 
 def solve_dual_bisection(inst: OneSidedInstance,
-                         opts: Optional[SolveOptions] = None) -> BisectionResult:
-    """Minimize g over lambda >= 0.
+                         opts: Optional[SolveOptions] = None,
+                         unit: float = 1.0) -> BisectionResult:
+    """Minimize g over lambda >= 0, with lambda measured in units of unit,
+    a power of two near lambda* (see _unit).
 
-    Bisection on the sign of the one-sided derivatives brackets the
-    minimizer; once the bracket is narrower than 1e-2 (1 + lambda_max) at
-    the first closed bracket, stepping to the nearest kink on the side of
-    the minimum and testing the subgradient condition there, with the kink
-    tie tolerance, lands on lambda* exactly.
+    Bisection on the sign of the one-sided derivatives, after doubling from
+    unit, brackets the minimizer; once the bracket is narrower than
+    1e-2 (unit + lambda_max) at the first closed bracket, stepping to the
+    nearest kink on the side of the minimum and testing the subgradient
+    condition there, with the kink tie tolerance, lands on lambda* exactly.
     Optional screening shrinks the active candidate set using the bracket;
     the first time it leaves at most n + SELECT_SLACK survivors, the next
     trial point is their crossing in the bracket where g is smallest, and a
     kink step from it follows whether or not the bracket is narrow.
-    Screening starts before the first trial at lambda = 1, over the
-    provisional bracket [0, 1]; if that trial leaves the bracket open, the
-    survivors are discarded and doubling runs on all m candidates.
+    Screening starts before the first trial at lambda = unit, over the
+    provisional bracket [0, unit]; if that trial leaves the bracket open,
+    the survivors are discarded and doubling runs on all m candidates.
 
     The search decides feasibility: a closed bracket exhibits an assignment
     with diversity at most b2, and with the unconstrained optimum above b2 it
     spans the bound. If the first trial leaves the bracket open, one range
     check, div_min > b2, raises InfeasibleError; otherwise doubling goes on
-    up to LAMBDA_LIMIT and ends with no lambda*. The search also ends with
-    no lambda* at a bracket BRACKET_FLOOR wide or after MAX_EVALUATIONS
-    evaluations of g; it then returns one more evaluation, not counted in
-    iterations, at the bracket's finite end with the kink tie tolerance.
+    up to LAMBDA_LIMIT units, or until it overflows, and ends with no
+    lambda*. The search also ends with no lambda* at a bracket BRACKET_FLOOR
+    units wide or after MAX_EVALUATIONS evaluations of g; it then returns
+    one more evaluation, not counted in iterations, at the bracket's finite
+    end with the kink tie tolerance.
     """
     opts = opts or SolveOptions()
-    active = _prescreen(inst) if opts.screening else ActiveSet.full(inst)
-    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
+    active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
+    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=unit,
                             active=active, prescreen_pending=opts.screening)
     # Bracket width below which a kink step follows each trial; fixed at
     # the first closed bracket.
@@ -345,21 +351,21 @@ def solve_dual_bisection(inst: OneSidedInstance,
             state.lambda_min = state.lam
             if math.isinf(state.lambda_max):
                 # The first trial left the bracket open: settle feasibility,
-                # and drop the pre-screen, whose bracket [0, 1] was wrong.
-                if state.lam == 1.0:
+                # and drop the pre-screen, whose bracket [0, unit] was wrong.
+                if state.lam == unit:
                     if _diversity_extreme(inst, largest=False)[0] > inst.b2:
                         raise InfeasibleError("every assignment's diversity exceeds b2")
                     if state.prescreen_pending:
                         state.active, state.prescreen_pending = ActiveSet.full(inst), False
                 state.lam *= 2.0
-                if state.lam > LAMBDA_LIMIT:
+                if state.lam > LAMBDA_LIMIT * unit or state.lam == math.inf:
                     break
             else:
                 state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         else:
             state.lambda_max = state.lam
             if big_delta is None:
-                big_delta = 1e-2 * (1.0 + state.lambda_max)
+                big_delta = 1e-2 * (unit + state.lambda_max)
             state.lam = 0.5 * (state.lambda_min + state.lambda_max)
         if opts.screening and math.isfinite(state.lambda_max):
             screen_candidates(state, inst, ev)
@@ -371,7 +377,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
                                        state.lambda_min, state.lambda_max)
                 if pick is not None:
                     state.lam, picked = pick, True
-        if state.lambda_max - state.lambda_min <= BRACKET_FLOOR:
+        if state.lambda_max - state.lambda_min <= BRACKET_FLOOR * unit:
             break
 
     lo, hi = state.lambda_min, state.lambda_max
@@ -408,18 +414,9 @@ def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
     """How far rounding can move g(lam), and a diversity judged against b2
     (a move lam multiplies): a few units in the last place of the
     magnitudes involved, with c_max, a_max = max|c|, max|a| of inst."""
-    scale = (float(inst.w.sum()) * (c_max + 2.0 * lam * a_max)
+    scale = (float(inst.w.sum()) * (c_max + 2.0 * (lam * a_max))
              + lam * abs(inst.b2) + abs(g))
     return (inst.n + 2) * math.ulp(1.0) * scale
-
-
-def _scaled_bound(b: float, shift: int) -> float:
-    """b * 2**shift, saturating to +-inf: a bound that far out lies beyond
-    every diversity the rescaled problem can reach."""
-    try:
-        return math.ldexp(b, shift)
-    except OverflowError:
-        return math.copysign(math.inf, b)
 
 
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
@@ -440,14 +437,8 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     one = red.one_sided
     b1 = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
     c_max, a_max = _magnitudes(one)
-    shift = _scale_exponent(c_max, a_max)
-    if shift:
-        one = OneSidedInstance(one.c, np.ldexp(one.a, shift), one.w,
-                               _scaled_bound(one.b2, shift))
-        b1 = _scaled_bound(b1, shift)
-        a_max = math.ldexp(a_max, shift)
     try:
-        result = solve_dual_bisection(one, opts)
+        result = solve_dual_bisection(one, opts, _unit(c_max, a_max))
     except InfeasibleError:
         pre = precheck_feasibility(inst)
         raise InfeasibleError(
@@ -464,16 +455,11 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         log.warning("bisection ended with bracket %s; returning endpoint "
                     "assignment with duality gap <= %.3g", result.bracket, gap)
     status = STATUS_UPPER_ACTIVE
-    # Undo the power-of-two scaling of a exactly: lambda grows with it and the
-    # diversity shrinks against it. Negating a dot product is exact too, so on
-    # the lower-as-upper path this is the original diversity.
-    lambda_star = math.ldexp(ev.lam, shift)
-    if shift or red.kind == REDUCE_LOWER_AS_UPPER:
-        diversity = math.ldexp(mixture.diversity, -shift)
-        if red.kind == REDUCE_LOWER_AS_UPPER:
-            diversity = -diversity
-            status = STATUS_LOWER_ACTIVE
-        mixture = replace(mixture, diversity=diversity)
+    # Negating a dot product is exact, so on the lower-as-upper path this is
+    # the original diversity.
+    if red.kind == REDUCE_LOWER_AS_UPPER:
+        mixture = replace(mixture, diversity=-mixture.diversity)
+        status = STATUS_LOWER_ACTIVE
     survivors = result.state.active.indices
     dropped = one.m - survivors.shape[0]
     stats = SolveStats(iterations=result.state.iterations,
@@ -481,5 +467,5 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
                        exact=exact, duality_gap=gap,
                        survivors=survivors if dropped else None)
     stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
-    return Solution(status=status, lambda_star=lambda_star,
+    return Solution(status=status, lambda_star=ev.lam,
                     mixture=mixture, stats=stats)

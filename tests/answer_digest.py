@@ -6,21 +6,26 @@ output.
     python3 tests/answer_digest.py
 
 The corpus is gen_synthetic at m in {5, 30, 300, 3000} x n in {3, 10}
-(6 draws each, plus copies with `a` and the bounds mirrored), 300 draws of
-conftest.random_tiny_instance, and the first 40 instances of the rerank_1k
-and ties_mixed_10k benchmark workloads. Every instance is solved with
-screening on and off, and with solver.MAX_EVALUATIONS at its default and at
-1, 2, 3 and 5, which forces inexact ends. An answer is the repr of every
-Solution field except wall_time_us (dropped_indices included), or the
-InfeasibleError's message and report. The script prints the output count,
-how many were exact, inexact and infeasible, and the digest.
+(6 draws each, plus copies with `a` and the bounds mirrored, and copies with
+c times 2**i and `a` and the bounds times 2**j for (i, j) in SCALES, which
+move lambda* far from 1), 300 draws of conftest.random_tiny_instance, and
+the first 40 instances of the rerank_1k and ties_mixed_10k benchmark
+workloads. Every instance is solved with screening on and off, and with
+solver.MAX_EVALUATIONS at its default and at 1, 2, 3 and 5, which forces
+inexact ends. An answer is the repr of every Solution field except
+wall_time_us (dropped_indices included), or the InfeasibleError's message
+and report. The script prints the output count, how many were exact,
+inexact and infeasible, and the digest.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -36,12 +41,20 @@ from divrank.solver import InfeasibleError, SolveOptions, solve  # noqa: E402
 
 CAPS = (solver_module.MAX_EVALUATIONS, 1, 2, 3, 5)
 OPTIONS = (SolveOptions(), SolveOptions(screening=False))
+SCALES = ((498, -498), (-498, 498), (900, 0), (0, 900))
 
 
 def mirrored(inst):
     """The same instance with a and the bounds negated."""
     return validate_instance(inst.m, inst.n, inst.c, -inst.a, inst.w,
                              -inst.b2, -inst.b1)
+
+
+def rescaled(inst, i, j):
+    """The same instance with c times 2**i and a, b1, b2 times 2**j."""
+    return validate_instance(inst.m, inst.n, np.ldexp(inst.c, i),
+                             np.ldexp(inst.a, j), inst.w,
+                             math.ldexp(inst.b1, j), math.ldexp(inst.b2, j))
 
 
 def corpus():
@@ -53,6 +66,8 @@ def corpus():
                 inst = gen_synthetic(GenConfig(m=m, n=n, seed=(9000, m, n, k)))
                 yield inst
                 yield mirrored(inst)
+                for i, j in SCALES:
+                    yield rescaled(inst, i, j)
     for k in range(300):
         inst = random_tiny_instance((9100, k))
         if inst is not None:

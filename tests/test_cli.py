@@ -84,7 +84,8 @@ class TestSolveCommand:
         assert err["status"] == "Infeasible"
 
     def test_infeasible_past_the_float_range_exits_3(self, tmp_path, capsys):
-        # Rescaling puts b2 near -1e10 * 2**997, beyond the float range.
+        # The unit of lambda is near 2**997, so lambda * b2 at the first
+        # trial lies beyond the float range; only the signs decide.
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"m": 2, "n": 1, "c": [1e300, 0.0],
                                     "a": [1.0, 0.0], "w": None,
@@ -104,6 +105,18 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["objective"] == 0.0 and doc["diversity"] <= 1.0
         assert doc["stats"]["exact"] is False
+
+    def test_lambda_star_past_the_float_range_is_solved(self, tmp_path, capsys):
+        # lambda* = 1e310 overflows: the search ends inexact at 2**1023.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"m": 2, "n": 1, "c": [1e10, 0.0],
+                                    "a": [1e-300, 0.0], "w": None,
+                                    "b1": -1.0, "b2": 5e-301}), encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '"exact": false' in out
+        doc = json.loads(out)
+        assert doc["objective"] == 5e9 and doc["diversity"] == 5e-301
 
 
 class TestGenCommand:

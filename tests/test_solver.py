@@ -1052,8 +1052,8 @@ class TestScoreScale:
         assert abs(sol.lambda_star - ora.lambda_star) <= 1e-12 * ora.lambda_star
         assert abs(sol.diversity - inst.b2) <= 1e-12 * abs(inst.b2)
 
-    # c near 1e300 and a near 1 put the scale shift near 997, so a bound
-    # far from every diversity overflows when rescaled.
+    # c near 1e300 and a near 1 put the unit of lambda near 2**997. The
+    # bounds, far from every diversity, are used as given.
     def test_far_bound_saturates_on_an_infeasible_instance(self):
         inst = validate_instance(2, 1, [1e300, 0.0], [1.0, 0.0], None,
                                  -1e10, -1e10)
@@ -1070,3 +1070,47 @@ class TestScoreScale:
         sol = solve(inst)
         assert not sol.stats.exact
         assert inst.b1 <= sol.diversity <= inst.b2
+
+    def test_subnormal_c_keeps_the_bound(self):
+        # The unit clamps at 2**-1022, far above lambda*; a is never scaled
+        # into the subnormal range, where it would lose bits.
+        inst = binding_upper_instance(2.0 ** -1060, 1.0)
+        sol = solve(inst)
+        assert sol.stats.exact and sol.diversity == inst.b2
+        # lambda* is subnormal here, below the unit's range.
+        inst = binding_upper_instance(1e-320, 1.0)
+        sol = solve(inst)
+        assert inst.b1 <= sol.diversity <= inst.b2
+
+    def test_lambda_star_past_the_float_range_ends_inexact(self):
+        # lambda* = 1e310: the unit clamps at 2**1023, doubling overflows,
+        # and the search ends on its bracket's finite end.
+        inst = validate_instance(2, 1, [1e10, 0.0], [1e-300, 0.0], None,
+                                 -1.0, 5e-301)
+        sol = solve(inst)
+        assert not sol.stats.exact
+        assert sol.objective == brute_force_tiny(inst).objective
+        assert inst.b1 <= sol.diversity <= inst.b2
+        assert 0.0 <= sol.stats.duality_gap < math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_crossings_past_the_float_range_raise_no_warning(self):
+        # lambda* is near 2**1014, and some survivors' score lines cross
+        # beyond the float range; those crossings are dropped silently.
+        inst = rescaled(gen_synthetic(GenConfig(m=30, n=3, seed=(77, 30, 3, 0))),
+                        40, -980)
+        sol = solve(inst)
+        assert sol.stats.exact and inst.b1 <= sol.diversity <= inst.b2
+
+    def test_search_reads_the_instance_uncopied(self, monkeypatch):
+        seen = []
+        search = solver_module.solve_dual_bisection
+
+        def spy(one, *args):
+            seen.append(one)
+            return search(one, *args)
+
+        monkeypatch.setattr(solver_module, "solve_dual_bisection", spy)
+        inst = binding_upper_instance(2.0 ** 40, 1.0)
+        assert solve(inst).stats.exact
+        assert seen[0].a is inst.a and seen[0].b2 == inst.b2
