@@ -1,15 +1,14 @@
 """Command-line interface: solve, gen, verify, bench.
 
-Exit codes: 0 success, 1 verify mismatch, 2 invalid input, 3 infeasible.
-Set DIVRANK_LOG=debug|info|warning to control trace verbosity.
+Exit codes: 0 success, 1 verify mismatch, 2 invalid input or an unreadable
+or unwritable path, 3 infeasible. A solve reports through its JSON alone:
+an inexact end shows as "exact": false with its duality gap.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import logging
-import os
 import statistics
 import sys
 from dataclasses import dataclass
@@ -40,20 +39,13 @@ ALG_SCREENING = "screening"
 REL_TOL = 1e-9
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("DIVRANK_LOG", "warning").strip().lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "warning": logging.WARNING, "error": logging.ERROR}.get(
-                 level_name, logging.WARNING)
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _rel_close(x: float, y: float, tol: float = REL_TOL) -> bool:
     return abs(x - y) <= tol * (1.0 + max(abs(x), abs(y)))
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text to path, or print it when path is None; raises OSError
+    when path cannot be written."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -77,24 +69,31 @@ def _bad_generator_args(m_list: list[int], n_list: list[int], seed: int,
     return None
 
 
+def _invalid(errors: list[str], messages: list[str]) -> int:
+    """Report an invalid or unreadable input, or an unwritable output, as
+    one JSON line on stderr."""
+    print(json.dumps({"status": "Invalid", "errors": errors,
+                      "messages": messages}), file=sys.stderr)
+    return EXIT_INVALID
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst = load_instance(args.input)
     except ValidationError as exc:
-        print(json.dumps({"status": "Invalid", "errors": exc.errors,
-                          "messages": exc.messages}), file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc.errors, exc.messages)
     except OSError as exc:
-        print(json.dumps({"status": "Invalid", "errors": ["IO"],
-                          "messages": [str(exc)]}), file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(["IO"], [str(exc)])
     try:
         sol = solve(inst, SolveOptions(screening=not args.no_screening))
     except InfeasibleError as exc:
         print(json.dumps({"status": STATUS_INFEASIBLE,
                           "messages": [str(exc)]}), file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(json.dumps(solution_to_dict(sol)), args.output)
+    try:
+        _emit(json.dumps(solution_to_dict(sol)), args.output)
+    except OSError as exc:
+        return _invalid(["IO"], [str(exc)])
     return EXIT_OK
 
 
@@ -109,7 +108,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except RegenExhaustedError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISMATCH
-    _emit(json.dumps(instance_to_dict(inst)), args.output)
+    try:
+        _emit(json.dumps(instance_to_dict(inst)), args.output)
+    except OSError as exc:
+        print(f"divrank gen: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     return EXIT_OK
 
 
@@ -221,14 +224,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = run_benchmark(args.m_list, args.n_list, reps=args.reps,
                          alpha=args.alpha, seed=args.seed)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms", "reps",
-                             "median_ms"])
-            for row in rows:
-                writer.writerow([row.m, row.n, row.algorithm,
-                                 f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
-                                 len(row.times_ms), f"{row.median_ms:.6f}"])
+        try:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms",
+                                 "reps", "median_ms"])
+                for row in rows:
+                    writer.writerow([row.m, row.n, row.algorithm,
+                                     f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
+                                     len(row.times_ms), f"{row.median_ms:.6f}"])
+        except OSError as exc:
+            print(f"divrank bench: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     header = f"{'m':>7} {'n':>4} {'algorithm':>10} {'mean_ms':>10} {'std_ms':>9} {'median_ms':>10}"
     print(header)
     for row in rows:
@@ -284,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -12,7 +12,6 @@ spreads into independent streams. Regeneration attempts use (seed..., k).
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -21,8 +20,6 @@ import numpy as np
 from .model import Instance, default_weights, validate_instance
 from .rank import unconstrained_extremes
 from .solver import precheck_feasibility
-
-log = logging.getLogger(__name__)
 
 SeedLike = Union[int, Sequence[int]]
 
@@ -80,12 +77,10 @@ def gen_synthetic(config: GenConfig) -> Instance:
             continue
         b2 = config.b_scale * top_div
         inst = validate_instance(config.m, config.n, c, a, w, -b2, b2)
-        if not precheck_feasibility(inst).feasible:
-            # Only possible for near-square, nearly-constant-sign draws.
-            log.debug("draw %d feasibility reject (m=%d n=%d)", attempt,
-                      config.m, config.n)
-            continue
-        return inst
+        # Infeasible draws are only possible when near-square and of nearly
+        # constant sign.
+        if precheck_feasibility(inst).feasible:
+            return inst
     raise RegenExhaustedError(
         f"no acceptable draw in {config.max_regen} attempts for seed "
         f"{base}; top diversity kept coming out nonpositive")

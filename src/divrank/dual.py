@@ -32,12 +32,15 @@ _INF_BITS = np.float64(math.inf).view(np.uint64)
 
 @dataclass(frozen=True)
 class OneSidedInstance:
-    """Reduced problem: maximize relevance subject to diversity <= b2 only."""
+    """Reduced problem: maximize relevance subject to diversity <= b2 only.
+    b1 is the other bound in the same sign convention; only primal recovery
+    reads it."""
 
     c: np.ndarray
     a: np.ndarray
     w: np.ndarray
     b2: float
+    b1: float = -math.inf
 
     @property
     def m(self) -> int:

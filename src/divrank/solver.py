@@ -4,7 +4,6 @@ and recover the optimal primal mixture in closed form.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -18,13 +17,6 @@ from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
                     PrimalMixture, Solution, SolveStats, complement)
 from .rank import SELECT_SLACK, unconstrained_extremes
-
-log = logging.getLogger(__name__)
-
-# Reduction kinds.
-REDUCE_UPPER = "upper"
-REDUCE_LOWER_AS_UPPER = "lower_as_upper"
-REDUCE_ALREADY_OPTIMAL = "already_optimal"
 
 # The pre-screen picks its witnesses from a strided sample of about this
 # many candidates.
@@ -74,6 +66,11 @@ class SolveOptions:
 
 @dataclass
 class DualSearchState:
+    """The dual search's bracket, active set and counts. At its end,
+    lambda_star is lambda* and evaluation the evaluation there, or
+    lambda_star is None and evaluation is at the bracket's finite end when
+    the search gave up on exactness; active is the set evaluation ran over."""
+
     lambda_min: float
     lambda_max: float
     lam: float
@@ -83,26 +80,19 @@ class DualSearchState:
     # The pre-screen's drops await the first trial's verdict on [0, unit].
     prescreen_pending: bool = False
     bracket_history: list[tuple[float, float]] = field(default_factory=list)
+    lambda_star: Optional[float] = None
+    evaluation: Optional[DualEvaluation] = None
 
 
 @dataclass(frozen=True)
 class Reduction:
-    kind: str
+    """The active bound's status, with the one-sided instance left to solve
+    or, when an unconstrained optimum already meets the bounds, the optimal
+    mixture."""
+
+    status: str
     one_sided: Optional[OneSidedInstance] = None
     mixture: Optional[PrimalMixture] = None
-    status: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class BisectionResult:
-    """The search's end: lambda* and the evaluation there, or None and an
-    evaluation at the bracket's finite end when the search gave up on
-    exactness. state.active is the set the evaluation ran over."""
-
-    lambda_star: Optional[float]
-    evaluation: DualEvaluation
-    bracket: tuple[float, float]
-    state: DualSearchState
 
 
 def _diversity_extreme(inst: Instance | OneSidedInstance, *,
@@ -140,7 +130,12 @@ def _mix_extremes(c: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     if d2 - d1 <= 0.0:
         rho = 1.0
     else:
-        rho = float(min(1.0, max(0.0, (target - d2) / (d1 - d2))))
+        num, den = target - d2, d1 - d2
+        if not math.isfinite(den):
+            # The differences overflow; those of the halves do not, and
+            # halving a normal float is exact.
+            num, den = 0.5 * target - 0.5 * d2, 0.5 * d1 - 0.5 * d2
+        rho = float(min(1.0, max(0.0, num / den)))
     obj1 = float(w.dot(c[s1]))
     obj2 = float(w.dot(c[s2]))
     objective = obj1 if obj1 == obj2 else rho * obj1 + (1.0 - rho) * obj2
@@ -152,30 +147,30 @@ def _mix_extremes(c: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray,
 def reduce_two_sided(inst: Instance) -> Reduction:
     """Decide which bound (if any) the optimum presses against.
 
-    If every unconstrained optimum exceeds b2, only the upper bound matters.
-    If every unconstrained optimum falls below b1, flip the sign of the
-    diversity scores and treat -b1 as an upper bound. Otherwise some
-    unconstrained optimum is already feasible; among the tied optima the
-    vertex diversities are discrete, so the feasible witness may be a strict
+    If every unconstrained optimum exceeds b2, only the upper bound matters
+    (UpperActive). If every unconstrained optimum falls below b1, flip the
+    sign of the diversity scores and treat -b1 as an upper bound, -b2 as the
+    other (LowerActive). Either way one_sided is left to solve. Otherwise
+    some unconstrained optimum is already feasible and the reduction carries
+    the optimal mixture instead; among the tied optima the vertex
+    diversities are discrete, so the feasible witness may be a strict
     mixture of the two diversity extremes.
     """
     un = unconstrained_extremes(inst.c, inst.a, inst.w)
     if un.min_div > inst.b2:
-        return Reduction(kind=REDUCE_UPPER,
-                         one_sided=OneSidedInstance(inst.c, inst.a, inst.w, inst.b2))
+        return Reduction(STATUS_UPPER_ACTIVE, one_sided=OneSidedInstance(
+            inst.c, inst.a, inst.w, inst.b2, inst.b1))
     if un.max_div < inst.b1:
-        return Reduction(kind=REDUCE_LOWER_AS_UPPER,
-                         one_sided=OneSidedInstance(inst.c, -inst.a, inst.w, -inst.b1))
+        return Reduction(STATUS_LOWER_ACTIVE, one_sided=OneSidedInstance(
+            inst.c, -inst.a, inst.w, -inst.b1, -inst.b2))
     if un.min_div >= inst.b1:
         mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_min,
                                un.min_div, un.min_div, un.min_div)
-        return Reduction(kind=REDUCE_ALREADY_OPTIMAL, mixture=mixture,
-                         status=STATUS_UNCONSTRAINED)
+        return Reduction(STATUS_UNCONSTRAINED, mixture=mixture)
     # min_div < b1 <= max_div: clamp the mixture to the lower bound.
     mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_max,
                            un.min_div, un.max_div, inst.b1)
-    return Reduction(kind=REDUCE_ALREADY_OPTIMAL, mixture=mixture,
-                     status=STATUS_LOWER_ACTIVE)
+    return Reduction(STATUS_LOWER_ACTIVE, mixture=mixture)
 
 
 def _optimal(ev: DualEvaluation) -> bool:
@@ -254,8 +249,6 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     if dropped is None:
         return np.empty(0, dtype=np.intp)
     state.screen_events += 1
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("screened %d candidates, %d remain", dropped.size, state.active.size)
     return dropped
 
 
@@ -280,7 +273,7 @@ def _prescreen(inst: OneSidedInstance, unit: float = 1.0) -> ActiveSet:
 
 def solve_dual_bisection(inst: OneSidedInstance,
                          opts: Optional[SolveOptions] = None,
-                         unit: float = 1.0) -> BisectionResult:
+                         unit: float = 1.0) -> DualSearchState:
     """Minimize g over lambda >= 0, with lambda measured in units of unit,
     a power of two near lambda* (see _unit).
 
@@ -303,9 +296,10 @@ def solve_dual_bisection(inst: OneSidedInstance,
     check, div_min > b2, raises InfeasibleError; otherwise doubling goes on
     up to LAMBDA_LIMIT units, or until it overflows, and ends with no
     lambda*. The search also ends with no lambda* at a bracket BRACKET_FLOOR
-    units wide or after MAX_EVALUATIONS evaluations of g; it then returns
-    one more evaluation, not counted in iterations, at the bracket's finite
-    end with the kink tie tolerance.
+    units wide or after MAX_EVALUATIONS evaluations of g; its evaluation is
+    then one more, not counted in iterations, at the bracket's finite end
+    with the kink tie tolerance. Returns the final state, with lambda_star
+    and evaluation set.
     """
     opts = opts or SolveOptions()
     active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
@@ -324,8 +318,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
         if _optimal(ev):
             if state.prescreen_pending:
                 screen_candidates(state, inst, ev)
-            return BisectionResult(state.lam, ev,
-                                   (state.lambda_min, state.lambda_max), state)
+            state.lambda_star, state.evaluation = state.lam, ev
+            return state
         # g_plus < 0: the minimum lies strictly to the right; else g_minus > 0
         # and it lies strictly to the left.
         forward = ev.g_plus < 0.0
@@ -343,9 +337,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
                 ev_k = _eval_at_kink(inst, k, state.active)
                 state.iterations += 1
                 if _optimal(ev_k):
-                    bracket = ((state.lam, state.lambda_max) if forward
-                               else (state.lambda_min, state.lam))
-                    return BisectionResult(k, ev_k, bracket, state)
+                    state.lambda_star, state.evaluation = k, ev_k
+                    return state
         picked = False
         if forward:
             state.lambda_min = state.lam
@@ -381,8 +374,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
             break
 
     lo, hi = state.lambda_min, state.lambda_max
-    ev = _eval_at_kink(inst, hi if math.isfinite(hi) else lo, state.active)
-    return BisectionResult(None, ev, (lo, hi), state)
+    state.evaluation = _eval_at_kink(inst, hi if math.isfinite(hi) else lo,
+                                     state.active)
+    return state
 
 
 def _eval_at_kink(inst: OneSidedInstance, lam: float,
@@ -393,17 +387,17 @@ def _eval_at_kink(inst: OneSidedInstance, lam: float,
 
 
 def recover_primal(ev: DualEvaluation, inst: OneSidedInstance,
-                   active: ActiveSet, b1: float) -> PrimalMixture:
+                   active: ActiveSet) -> PrimalMixture:
     """Mix the two diversity-extreme maximizers at ev.lam toward b2, or
     toward their largest diversity if lower. At lambda* they straddle b2,
     so the bound holds with equality and the objective equals g(lambda*).
-    At an inexact end whose face misses [b1, b2] (b1 in the reduced sign
-    convention) the global diversity extremes are mixed instead: a closed
-    bracket or the search's range check makes them straddle the band.
-    active is the set ev ran over; its indices map ev's slot positions."""
+    At an inexact end whose face misses [inst.b1, inst.b2] the global
+    diversity extremes are mixed instead: a closed bracket or the search's
+    range check makes them straddle the band. active is the set ev ran
+    over; its indices map ev's slot positions."""
     s1, s2 = active.indices[ev.slots_min], active.indices[ev.slots_max]
     d1, d2 = ev.min_div, ev.max_div
-    if max(b1, d1) > min(inst.b2, d2):
+    if max(inst.b1, d1) > min(inst.b2, d2):
         d1, s1 = _diversity_extreme(inst, largest=False)
         d2, s2 = _diversity_extreme(inst, largest=True)
     return _mix_extremes(inst.c, inst.w, s1, s2, d1, d2, min(inst.b2, d2))
@@ -422,50 +416,45 @@ def _rounding_allowance(inst: OneSidedInstance, lam: float, g: float,
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     """Full pipeline. Raises InfeasibleError, with the attainable diversity
     range, when no assignment satisfies the diversity bounds; the dual search
-    decides that, so feasible solves run no separate range pass. Wall time
-    covers the whole call but for wrapping the result in its Solution
-    record, not JSON I/O."""
+    decides that, so feasible solves run no separate range pass. The
+    Solution, its SolveStats included, is the whole report: an inexact end
+    shows as stats.exact False with its duality_gap. Wall time covers the
+    whole call but for wrapping the result in its Solution record, not JSON
+    I/O."""
     t0 = time.perf_counter_ns()
     opts = opts or SolveOptions()
     red = reduce_two_sided(inst)
-    if red.kind == REDUCE_ALREADY_OPTIMAL:
+    one = red.one_sided
+    if one is None:
         stats = SolveStats()
         stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
         return Solution(status=red.status, lambda_star=0.0,
                         mixture=red.mixture, stats=stats)
 
-    one = red.one_sided
-    b1 = inst.b1 if red.kind == REDUCE_UPPER else -inst.b2
     c_max, a_max = _magnitudes(one)
     try:
-        result = solve_dual_bisection(one, opts, _unit(c_max, a_max))
+        state = solve_dual_bisection(one, opts, _unit(c_max, a_max))
     except InfeasibleError:
         pre = precheck_feasibility(inst)
         raise InfeasibleError(
             f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre) from None
-    ev = result.evaluation
-    mixture = recover_primal(ev, one, result.state.active, b1)
-    exact = result.lambda_star is not None
+    ev = state.evaluation
+    mixture = recover_primal(ev, one, state.active)
     # At lambda* strong duality makes g and the objective equal in exact
     # arithmetic; elsewhere g bounds the optimum from above.
     gap = abs(ev.g - mixture.objective) + _rounding_allowance(
         one, ev.lam, ev.g, c_max, a_max)
-    if not exact:
-        log.warning("bisection ended with bracket %s; returning endpoint "
-                    "assignment with duality gap <= %.3g", result.bracket, gap)
-    status = STATUS_UPPER_ACTIVE
     # Negating a dot product is exact, so on the lower-as-upper path this is
     # the original diversity.
-    if red.kind == REDUCE_LOWER_AS_UPPER:
+    if red.status == STATUS_LOWER_ACTIVE:
         mixture = replace(mixture, diversity=-mixture.diversity)
-        status = STATUS_LOWER_ACTIVE
-    survivors = result.state.active.indices
+    survivors = state.active.indices
     dropped = one.m - survivors.shape[0]
-    stats = SolveStats(iterations=result.state.iterations,
-                       screen_events=result.state.screen_events, dropped=dropped,
-                       exact=exact, duality_gap=gap,
+    stats = SolveStats(iterations=state.iterations,
+                       screen_events=state.screen_events, dropped=dropped,
+                       exact=state.lambda_star is not None, duality_gap=gap,
                        survivors=survivors if dropped else None)
     stats.wall_time_us = (time.perf_counter_ns() - t0) / 1e3
-    return Solution(status=status, lambda_star=ev.lam,
+    return Solution(status=red.status, lambda_star=ev.lam,
                     mixture=mixture, stats=stats)

@@ -20,7 +20,6 @@ inexact and infeasible, and the digest.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import sys
 from pathlib import Path
@@ -95,7 +94,6 @@ def answer(inst, opts) -> tuple[str, str]:
 
 
 def main() -> int:
-    logging.disable(logging.WARNING)  # inexact ends log a warning each
     digest = hashlib.sha256()
     kinds = {"exact": 0, "inexact": 0, "infeasible": 0}
     default_cap = solver_module.MAX_EVALUATIONS

@@ -15,8 +15,7 @@ from divrank.dual import ActiveSet, OneSidedInstance, eval_dual, kink_tie_tol
 from divrank.oracle import (brute_force_tiny, oracle_dual_breakpoints,
                             oracle_kink_set, oracle_support, trace_kinks)
 from divrank.rank import unconstrained_extremes
-from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
-                            reduce_two_sided, solve)
+from divrank.solver import InfeasibleError, reduce_two_sided, solve
 
 MEDIUM_SIZES = [(20, 3), (100, 10), (300, 10)]
 MEDIUM_COUNT = 500
@@ -38,7 +37,7 @@ def medium_population():
             inst = gen_synthetic(GenConfig(m=m, n=n, seed=(8101, m, n, i)))
             sol = solve(inst)
             red = reduce_two_sided(inst)
-            assert red.kind != REDUCE_ALREADY_OPTIMAL
+            assert red.one_sided is not None
             ora = oracle_dual_breakpoints(red.one_sided)
             records.append({"inst": inst, "sol": sol, "red": red, "ora": ora})
     return records, time.perf_counter() - start
@@ -105,7 +104,7 @@ class TestAcceptance:
         gap_err = feas_err = bound_err = 0.0
         for rec in records:
             inst, sol, red = rec["inst"], rec["sol"], rec["red"]
-            if red.kind == REDUCE_ALREADY_OPTIMAL:
+            if red.one_sided is None:
                 g_val = unconstrained_extremes(inst.c, inst.a, inst.w).value
             else:
                 one = red.one_sided
@@ -141,7 +140,7 @@ class TestAcceptance:
         for rec in tiny_population:
             dropped = set(rec["sol"].stats.dropped_indices)
             dropped_total += len(dropped)
-            if not dropped or rec["red"].kind == REDUCE_ALREADY_OPTIMAL:
+            if not dropped or rec["red"].one_sided is None:
                 continue
             one = rec["red"].one_sided
             ora = oracle_dual_breakpoints(one)
@@ -244,7 +243,7 @@ class TestAcceptance:
                           / np.linalg.norm(base.c))
             ratio_err = max(ratio_err, abs(ratio - 0.2))
         binding = sum(1 for rec in medium_population[0]
-                      if rec["red"].kind != REDUCE_ALREADY_OPTIMAL)
+                      if rec["red"].one_sided is not None)
         total = len(medium_population[0])
         ok = 0.46 <= cov <= 0.54 and ratio_err <= 1e-12 and binding == total
         verdict(8, "generator statistics", ok,

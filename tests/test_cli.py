@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divrank
 from divrank.cli import (ALG_BISECTION, ALG_SCREENING, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, REFERENCE_SCREENING_MS,
                          main, run_benchmark)
@@ -15,6 +20,15 @@ def write_instance(path, b1=-0.5, b2=0.5):
     doc = {"m": 3, "n": 1, "c": [3.0, 2.0, 0.0], "a": [1.0, -1.0, 0.0],
            "w": [1.0], "b1": b1, "b2": b2}
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def write_far_kink(path):
+    """Feasible, with lambda* = 2**50 past the doubling limit: the solve
+    ends on its bracket, inexact."""
+    path.write_text(json.dumps({"m": 2, "n": 1, "c": [1.0, 0.0],
+                                "a": [1.0 + 2.0 ** -50, 1.0], "w": [1.0],
+                                "b1": -5.0, "b2": 1.0}), encoding="utf-8")
     return str(path)
 
 
@@ -95,16 +109,25 @@ class TestSolveCommand:
         assert err["status"] == "Infeasible"
 
     def test_far_kink_is_solved(self, tmp_path, capsys):
-        # Feasible, with lambda* = 2**50 past the doubling limit: the solve
-        # ends on its bracket and returns a feasible answer.
-        path = tmp_path / "far.json"
-        path.write_text(json.dumps({"m": 2, "n": 1, "c": [1.0, 0.0],
-                                    "a": [1.0 + 2.0 ** -50, 1.0], "w": [1.0],
-                                    "b1": -5.0, "b2": 1.0}), encoding="utf-8")
-        assert main(["solve", "--input", str(path)]) == EXIT_OK
+        # The solve ends on its bracket and returns a feasible answer.
+        path = write_far_kink(tmp_path / "far.json")
+        assert main(["solve", "--input", path]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["objective"] == 0.0 and doc["diversity"] <= 1.0
         assert doc["stats"]["exact"] is False
+
+    def test_inexact_solve_leaves_stderr_empty(self, tmp_path):
+        # The JSON's "exact": false is the whole report of an inexact end.
+        path = write_far_kink(tmp_path / "far.json")
+        src = str(Path(divrank.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divrank.cli", "solve", "--input", path],
+            capture_output=True, text=True, env=env, timeout=60, check=False)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["stats"]["exact"] is False
+        assert proc.stderr == ""
 
     def test_lambda_star_past_the_float_range_is_solved(self, tmp_path, capsys):
         # lambda* = 1e310 overflows: the search ends inexact at 2**1023.
@@ -206,6 +229,32 @@ class TestInvalidGeneratorArguments:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"divrank {argv[0]}: ") and err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 2, as an unreadable
+    --input does, not 1, the code of a verify mismatch."""
+
+    @pytest.mark.parametrize("command", ["solve", "gen", "bench"])
+    def test_exits_2(self, command, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "out")
+        argv = {
+            "solve": ["solve", "--input", write_instance(tmp_path / "inst.json"),
+                      "--output", target],
+            "gen": ["gen", "--m", "5", "--n", "2", "--output", target],
+            "bench": ["bench", "--m-list", "5", "--n-list", "2", "--reps", "1",
+                      "--csv", target],
+        }[command]
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        if command == "solve":
+            doc = json.loads(err)
+            assert doc["status"] == "Invalid" and doc["errors"] == ["IO"]
+            assert len(doc["messages"]) == 1
+        else:
+            assert err.startswith(f"divrank {command}: ")
+            assert err.count("\n") == 1
 
 
 class TestParser:

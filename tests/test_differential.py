@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from conftest import rel_close
 from divrank.model import STATUS_UNCONSTRAINED, default_weights, validate_instance
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
-from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
-                            SolveOptions, precheck_feasibility,
-                            reduce_two_sided, solve)
+from divrank.solver import (InfeasibleError, SolveOptions,
+                            precheck_feasibility, reduce_two_sided, solve)
 
 OPTIONS = (SolveOptions(), SolveOptions(screening=False))
 
@@ -96,7 +95,7 @@ def test_matches_breakpoint_oracle(inst):
     if sols is None:
         return
     red = reduce_two_sided(inst)
-    if red.kind == REDUCE_ALREADY_OPTIMAL:
+    if red.one_sided is None:
         best = float(inst.w.dot(np.sort(inst.c)[::-1][:inst.n]))
         for sol in sols:
             assert rel_close(sol.objective, best, 1e-12)

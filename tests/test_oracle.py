@@ -10,8 +10,7 @@ from divrank.model import validate_instance
 from divrank.oracle import (SizeCapError, UnboundedDualError, brute_force_tiny,
                             oracle_dual_breakpoints, oracle_kink_set,
                             oracle_support)
-from divrank.solver import (REDUCE_ALREADY_OPTIMAL, InfeasibleError,
-                            reduce_two_sided, solve)
+from divrank.solver import InfeasibleError, reduce_two_sided, solve
 
 
 def one_sided(c, a, w, b2):
@@ -95,7 +94,7 @@ class TestCrossValidation:
             if not bf.feasible:
                 continue
             red = reduce_two_sided(inst)
-            if red.kind == REDUCE_ALREADY_OPTIMAL:
+            if red.one_sided is None:
                 assert rel_close(red.mixture.objective, bf.objective, 1e-9)
             else:
                 ora = oracle_dual_breakpoints(red.one_sided)
@@ -109,7 +108,7 @@ class TestCrossValidation:
             if inst is None:
                 continue
             red = reduce_two_sided(inst)
-            if red.kind == REDUCE_ALREADY_OPTIMAL:
+            if red.one_sided is None:
                 continue
             try:
                 sol = solve(inst)
@@ -125,7 +124,7 @@ class TestCrossValidation:
             if inst is None:
                 continue
             red = reduce_two_sided(inst)
-            if red.kind == REDUCE_ALREADY_OPTIMAL:
+            if red.one_sided is None:
                 continue
             try:
                 sol = solve(inst)

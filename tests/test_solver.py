@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from fractions import Fraction
 
@@ -17,11 +18,10 @@ from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            validate_instance)
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
 from divrank.rank import sort_scores, unconstrained_extremes
-from divrank.solver import (REDUCE_ALREADY_OPTIMAL, REDUCE_LOWER_AS_UPPER,
-                            REDUCE_UPPER, DualSearchState, InfeasibleError,
-                            SolveOptions, precheck_feasibility, recover_primal,
-                            reduce_two_sided,
-                            screen_candidates, solve, solve_dual_bisection)
+from divrank.solver import (DualSearchState, InfeasibleError, SolveOptions,
+                            precheck_feasibility, recover_primal,
+                            reduce_two_sided, screen_candidates, solve,
+                            solve_dual_bisection)
 from divrank.datagen import GenConfig, gen_synthetic
 import divrank.solver as solver_module
 
@@ -67,13 +67,14 @@ class TestPrecheck:
             assert pre.div_min == float(np.dot(inst.w, a_sorted[:n]))
             assert pre.div_max == float(np.dot(inst.w, a_sorted[::-1][:n]))
 
-    @pytest.mark.parametrize("b1, b2, kind", [
-        (-3.0, -2.0, REDUCE_UPPER),  # top candidate's a = 1 > b2 > div_min
-        (2.0, 3.0, REDUCE_LOWER_AS_UPPER),  # below b1 and so is div_max
-    ])
-    def test_infeasible_sides_report_the_full_range(self, b1, b2, kind):
+    @pytest.mark.parametrize("b1, b2, status", [
+        (-3.0, -2.0, STATUS_UPPER_ACTIVE),  # top candidate's a = 1 > b2 > div_min
+        (2.0, 3.0, STATUS_LOWER_ACTIVE),  # below b1 and so is div_max
+    ], ids=["-3.0--2.0-upper", "2.0-3.0-lower_as_upper"])
+    def test_infeasible_sides_report_the_full_range(self, b1, b2, status):
         inst = running_instance(b1, b2)
-        assert reduce_two_sided(inst).kind == kind
+        red = reduce_two_sided(inst)
+        assert red.status == status and red.one_sided is not None
         pre = precheck_feasibility(inst)
         assert not pre.feasible
         assert (pre.div_min, pre.div_max) == (-1.0, 1.0)
@@ -88,7 +89,9 @@ class TestPrecheck:
         seen = set()
         for rep in range(300):
             inst = random_tiny_instance((513, rep))
-            kind = reduce_two_sided(inst).kind
+            red = reduce_two_sided(inst)
+            # Already-optimal reductions, of either status, share one label.
+            kind = red.status if red.one_sided is not None else "optimal"
             pre = precheck_feasibility(inst)
             for opts in (SolveOptions(), SolveOptions(screening=False)):
                 if pre.feasible:
@@ -177,6 +180,15 @@ def rescaled(inst, i, j):
 class TestFeasibilityInSearch:
     """solve() runs no precheck: a closed bracket proves feasibility, and a
     bracket the first trial leaves open gets one range check."""
+
+    def test_solves_emit_no_log_record(self, caplog):
+        # Solution and SolveStats are the whole report: an inexact end shows
+        # as stats.exact False, a screen in screen_events and dropped.
+        caplog.set_level(logging.DEBUG)
+        inexact = solve(far_kink_instance())
+        screened = solve(gen_synthetic(GenConfig(m=200, n=5, seed=(521, 0))))
+        assert not inexact.stats.exact and screened.stats.screen_events > 0
+        assert caplog.records == []
 
     def test_far_kink_is_solved_not_refused(self):
         inst = far_kink_instance()
@@ -291,7 +303,7 @@ class TestFeasibilityInSearch:
             div_min_calls.clear()
             sol = solve(inst)
             assert sol.stats.exact
-            history = results[-1].state.bracket_history
+            history = results[-1].bracket_history
             # history[1] is the bracket the first trial left.
             assert len(history) == 1 or math.isfinite(history[1][1])
             assert len(div_min_calls) == 0
@@ -314,13 +326,13 @@ class TestFeasibilityInSearch:
 class TestReduction:
     def test_upper_bound_binds(self):
         red = reduce_two_sided(running_instance())
-        assert red.kind == REDUCE_UPPER
+        assert red.status == STATUS_UPPER_ACTIVE and red.one_sided is not None
         assert red.one_sided.b2 == 0.5
         np.testing.assert_array_equal(red.one_sided.a, [1.0, -1.0, 0.0])
 
     def test_slack_bounds_already_optimal(self):
         red = reduce_two_sided(running_instance(-3.0, 3.0))
-        assert red.kind == REDUCE_ALREADY_OPTIMAL
+        assert red.one_sided is None
         assert red.status == STATUS_UNCONSTRAINED
         assert red.mixture.rho == 1.0
         assert red.mixture.x1.slots == (0,)
@@ -329,16 +341,16 @@ class TestReduction:
         inst = validate_instance(3, 1, [3.0, 2.0, 0.0], [-1.0, 1.0, 0.0],
                                  [1.0], 0.5, 3.0)
         red = reduce_two_sided(inst)
-        assert red.kind == REDUCE_LOWER_AS_UPPER
+        assert red.status == STATUS_LOWER_ACTIVE and red.one_sided is not None
         np.testing.assert_array_equal(red.one_sided.a, [1.0, -1.0, 0.0])
-        assert red.one_sided.b2 == -0.5
+        assert (red.one_sided.b1, red.one_sided.b2) == (-3.0, -0.5)
 
     def test_tied_face_needs_mixture(self):
         # Tied optima reach diversity only in {-1, +1}; b1 = b2 = 0 sits
         # strictly between, so the witness is a strict mixture on the face.
         inst = validate_instance(2, 1, [3.0, 3.0], [1.0, -1.0], [1.0], 0.0, 0.0)
         red = reduce_two_sided(inst)
-        assert red.kind == REDUCE_ALREADY_OPTIMAL
+        assert red.one_sided is None
         assert red.status == STATUS_LOWER_ACTIVE
         assert red.mixture.rho == pytest.approx(0.5)
         assert red.mixture.diversity == 0.0
@@ -413,7 +425,7 @@ class TestBisection:
             red = reduce_two_sided(inst)
             ora = oracle_dual_breakpoints(red.one_sided)
             res = solve_dual_bisection(red.one_sided)
-            for lo, hi in res.state.bracket_history:
+            for lo, hi in res.bracket_history:
                 assert lo <= ora.lambda_star * (1 + 1e-12) + 1e-12
                 assert ora.lambda_star <= hi * (1 + 1e-12) + 1e-12
             assert rel_close(res.lambda_star, ora.lambda_star, 1e-9)
@@ -424,13 +436,13 @@ class TestBisection:
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
         res = solve_dual_bisection(one)
         assert res.lambda_star is None
-        lo, hi = res.bracket
+        lo, hi = res.lambda_min, res.lambda_max
         assert lo <= 0.5 <= hi
         # One evaluation at the bracket's finite end, with the kink
         # tolerance, not counted as an iteration.
         assert res.evaluation.lam == (hi if math.isfinite(hi) else lo)
         assert res.evaluation.tau > 0.0
-        assert res.state.iterations == 1
+        assert res.iterations == 1
 
     def test_runaway_cap_stops_doubling(self, magnitude_calls, monkeypatch):
         # b2 below every diversity: g falls forever. The range check after
@@ -673,7 +685,7 @@ class TestPrescreen:
         inst = gen_synthetic(GenConfig(m=3000, n=10, seed=(533, 0)))
         assert solve(inst).stats.dropped > 0
         optimal = running_instance(-2.0, 2.0)
-        assert reduce_two_sided(optimal).kind == REDUCE_ALREADY_OPTIMAL
+        assert reduce_two_sided(optimal).one_sided is None
         for sol in (solve(inst, SolveOptions(screening=False)), solve(optimal)):
             stats = sol.stats
             assert stats.dropped == stats.screen_events == 0
@@ -739,8 +751,8 @@ class TestCrossingStep:
         res, calls = self.search(one, monkeypatch, solver_module.lowest_crossing)
         assert calls == [None]  # the step ran and found nothing
         plain, _ = self.search(one, monkeypatch, lambda *args: None)
-        assert res.state.bracket_history == plain.state.bracket_history
-        assert res.state.iterations == plain.state.iterations
+        assert res.bracket_history == plain.bracket_history
+        assert res.iterations == plain.iterations
         assert res.lambda_star == plain.lambda_star
         return res
 
@@ -757,7 +769,7 @@ class TestCrossingStep:
         one = OneSidedInstance(np.array([2.0, 0.0]), np.array([1.0, -1.0]),
                                np.array([1.0]), 2.0)
         res = self.assert_search_unchanged(one, monkeypatch)
-        assert res.state.bracket_history[1] == (0.0, 1.0)
+        assert res.bracket_history[1] == (0.0, 1.0)
         assert res.lambda_star == 0.0
 
     def test_kink_step_from_the_pick(self, monkeypatch):
@@ -777,8 +789,8 @@ class TestCrossingStep:
         assert res.evaluation.tau > 0.0
         assert res.lambda_star == pytest.approx(picks[0], rel=1e-12)
         # No bisection step between: the pick was the last trial point.
-        assert res.state.bracket_history[-1] == brackets[0]
-        assert res.state.iterations == len(res.state.bracket_history) + 1
+        assert res.bracket_history[-1] == brackets[0]
+        assert res.iterations == len(res.bracket_history) + 1
 
     def test_step_is_off_without_screening(self, monkeypatch):
         inst = gen_synthetic(GenConfig(m=200, n=10, seed=511))
@@ -803,7 +815,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
+        mix = recover_primal(ev, one, ActiveSet.full(one))
         assert mix.rho == pytest.approx(0.5)
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.objective == pytest.approx(2.5)
@@ -813,7 +825,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.0)
-        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
+        mix = recover_primal(ev, one, ActiveSet.full(one))
         assert mix.rho == 1.0
         assert mix.x1.slots == mix.x2.slots == (0,)
 
@@ -821,7 +833,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(ev, one, ActiveSet.full(one), -math.inf)
+        mix = recover_primal(ev, one, ActiveSet.full(one))
         assert mix.rho == 0.0
         assert mix.diversity == pytest.approx(1.0)
 
@@ -833,7 +845,7 @@ class TestRecoverPrimal:
         act = ActiveSet.full(one).keep(np.array([1, 2, 3]))
         ev = eval_dual(one, 0.5, act, tau=1e-9 * 2.5)
         assert ev.slots_min.tolist() == [1] and ev.slots_max.tolist() == [0]
-        mix = recover_primal(ev, one, act, -math.inf)
+        mix = recover_primal(ev, one, act)
         assert mix.x1.slots == (2,) and mix.x2.slots == (1,)
         assert mix.objective == pytest.approx(2.5)
 
@@ -843,10 +855,11 @@ class TestRecoverPrimal:
         # is candidate 1 alone, diversity -1 < b1. Either way the global
         # extremes, candidates 1 and 0, are mixed down to b2.
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
-                               np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
+                               np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0,
+                               -0.5)
         ev = self.eval_at(one, lam)
-        assert max(-0.5, ev.min_div) > min(one.b2, ev.max_div)
-        mix = recover_primal(ev, one, ActiveSet.full(one), -0.5)
+        assert max(one.b1, ev.min_div) > min(one.b2, ev.max_div)
+        mix = recover_primal(ev, one, ActiveSet.full(one))
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.rho == 0.5
         assert -0.5 <= mix.diversity <= one.b2
@@ -1070,6 +1083,17 @@ class TestScoreScale:
         sol = solve(inst)
         assert not sol.stats.exact
         assert inst.b1 <= sol.diversity <= inst.b2
+
+    def test_diversities_whose_difference_overflows(self):
+        # The tied face at lambda* = 1 spans diversities -1e308 and 1e308,
+        # whose difference overflows; the mixture toward b2 still holds it.
+        inst = validate_instance(3, 1, [1e308, 0.0, -1e308],
+                                 [1e308, 0.0, -1e308], [1.0], -1e308, 1e307)
+        sol = solve(inst)
+        assert sol.stats.exact
+        assert sol.mixture.rho == pytest.approx(0.45)
+        assert inst.b1 <= sol.diversity <= inst.b2 * (1.0 + 1e-9)
+        assert sol.objective == pytest.approx(1e307)
 
     def test_subnormal_c_keeps_the_bound(self):
         # The unit clamps at 2**-1022, far above lambda*; a is never scaled
