@@ -7,6 +7,7 @@ an inexact end shows as "exact": false with its duality gap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import statistics
@@ -221,11 +222,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if problem:
         print(f"divrank bench: {problem}", file=sys.stderr)
         return EXIT_INVALID
-    rows = run_benchmark(args.m_list, args.n_list, reps=args.reps,
-                         alpha=args.alpha, seed=args.seed)
-    if args.csv:
-        try:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    # Open the CSV first, so a bad path fails before any timing.
+    try:
+        with (open(args.csv, "w", newline="", encoding="utf-8") if args.csv
+              else contextlib.nullcontext()) as fh:
+            rows = run_benchmark(args.m_list, args.n_list, reps=args.reps,
+                                 alpha=args.alpha, seed=args.seed)
+            if fh is not None:
                 writer = csv.writer(fh)
                 writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms",
                                  "reps", "median_ms"])
@@ -233,9 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     writer.writerow([row.m, row.n, row.algorithm,
                                      f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
                                      len(row.times_ms), f"{row.median_ms:.6f}"])
-        except OSError as exc:
-            print(f"divrank bench: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+    except OSError as exc:
+        print(f"divrank bench: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     header = f"{'m':>7} {'n':>4} {'algorithm':>10} {'mean_ms':>10} {'std_ms':>9} {'median_ms':>10}"
     print(header)
     for row in rows:

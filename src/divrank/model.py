@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,16 +68,27 @@ class Instance:
     b2: float
 
 
-def _as_vector(x: Any, name: str, errors: list[str], messages: list[str]):
+def _real(v, convert=float):
+    """convert(v), reading an integer past the float range as the infinity
+    of its sign, as JSON reads 1e400."""
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        return convert(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _as_vector(x: Any, name: str, fail: Callable[[str, str], None]):
+    try:
+        try:
+            arr = np.array(x, dtype=np.float64)  # the Instance's own copy
+        except OverflowError:
+            real = np.frompyfunc(lambda v: _real(v, np.float64), 1, 1)
+            arr = np.array(real(np.array(x, dtype=object)), dtype=np.float64)
     except (TypeError, ValueError):
-        errors.append(ERR_DIMENSION)
-        messages.append(f"{name} is not a numeric vector")
+        fail(ERR_DIMENSION, f"{name} is not a numeric vector")
         return None
     if arr.ndim != 1:
-        errors.append(ERR_DIMENSION)
-        messages.append(f"{name} must be one-dimensional")
+        fail(ERR_DIMENSION, f"{name} must be one-dimensional")
         return None
     return arr
 
@@ -85,87 +96,69 @@ def _as_vector(x: Any, name: str, errors: list[str], messages: list[str]):
 def validate_instance(m, n, c, a, w, b1, b2) -> Instance:
     """Check every instance invariant; raise ValidationError listing all failures.
 
-    Passing ``w=None`` fills in default_weights(n). Returns an Instance whose
-    arrays are read-only copies.
+    Passing ``w=None`` fills in default_weights(n) once n is known to fit
+    len(c). Returns an Instance whose arrays are read-only copies.
     """
     errors: list[str] = []
     messages: list[str] = []
 
+    def fail(error: str, message: str) -> None:
+        errors.append(error)
+        messages.append(message)
+
     ok_sizes = True
     for name, val in (("m", m), ("n", n)):
         if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            errors.append(ERR_DIMENSION)
-            messages.append(f"{name} must be an integer")
+            fail(ERR_DIMENSION, f"{name} must be an integer")
             ok_sizes = False
         elif val < 1:
-            errors.append(ERR_DIMENSION)
-            messages.append(f"{name} must be >= 1")
+            fail(ERR_DIMENSION, f"{name} must be >= 1")
             ok_sizes = False
     if ok_sizes and n > m:
-        errors.append(ERR_N_TOO_LARGE)
-        messages.append(f"n={n} exceeds m={m}")
+        fail(ERR_N_TOO_LARGE, f"n={n} exceeds m={m}")
 
-    c_arr = _as_vector(c, "c", errors, messages)
-    a_arr = _as_vector(a, "a", errors, messages)
-    if w is None and ok_sizes:
-        w_arr = default_weights(int(n))
-    else:
-        w_arr = _as_vector(w, "w", errors, messages) if w is not None else None
+    c_arr = _as_vector(c, "c", fail)
+    a_arr = _as_vector(a, "a", fail)
+    w_arr = None if w is None else _as_vector(w, "w", fail)
 
     if ok_sizes:
-        if c_arr is not None and c_arr.shape[0] != m:
-            errors.append(ERR_DIMENSION)
-            messages.append(f"len(c)={c_arr.shape[0]} != m={m}")
-        if a_arr is not None and a_arr.shape[0] != m:
-            errors.append(ERR_DIMENSION)
-            messages.append(f"len(a)={a_arr.shape[0]} != m={m}")
-        if w_arr is not None and w_arr.shape[0] != n:
-            errors.append(ERR_DIMENSION)
-            messages.append(f"len(w)={w_arr.shape[0]} != n={n}")
+        for name, arr, dim, size in (("c", c_arr, "m", m), ("a", a_arr, "m", m),
+                                     ("w", w_arr, "n", n)):
+            if arr is not None and arr.shape[0] != size:
+                fail(ERR_DIMENSION, f"len({name})={arr.shape[0]} != {dim}={size}")
 
     try:
-        b1_f = float(b1)
-        b2_f = float(b2)
+        b1_f = _real(b1)
+        b2_f = _real(b2)
     except (TypeError, ValueError):
-        errors.append(ERR_DIMENSION)
-        messages.append("b1/b2 must be real numbers")
+        fail(ERR_DIMENSION, "b1/b2 must be real numbers")
         b1_f = b2_f = np.nan
 
     non_finite = [name for name, part in (("c", c_arr), ("a", a_arr), ("w", w_arr))
                   if part is not None and not np.isfinite(part).all()]
     for name in non_finite:
-        errors.append(ERR_NON_FINITE)
-        messages.append(f"{name} contains non-finite entries")
+        fail(ERR_NON_FINITE, f"{name} contains non-finite entries")
     bounds_finite = math.isfinite(b1_f) and math.isfinite(b2_f)
     if not bounds_finite:
-        errors.append(ERR_NON_FINITE)
-        messages.append("b1/b2 must be finite")
+        fail(ERR_NON_FINITE, "b1/b2 must be finite")
 
     if w_arr is not None and "w" not in non_finite:
         if (w_arr <= 0.0).any():
-            errors.append(ERR_WEIGHTS_SIGN)
-            messages.append("w must be strictly positive")
+            fail(ERR_WEIGHTS_SIGN, "w must be strictly positive")
         if (w_arr[1:] >= w_arr[:-1]).any():
-            errors.append(ERR_WEIGHTS_ORDER)
-            messages.append("w must be strictly decreasing")
+            fail(ERR_WEIGHTS_ORDER, "w must be strictly decreasing")
 
     if bounds_finite and b1_f > b2_f:
-        errors.append(ERR_BOUNDS)
-        messages.append(f"b1={b1_f} > b2={b2_f}")
+        fail(ERR_BOUNDS, f"b1={b1_f} > b2={b2_f}")
 
     if errors:
         raise ValidationError(errors, messages)
-
-    def _frozen(arr: np.ndarray) -> np.ndarray:
-        out = np.array(arr, dtype=np.float64, copy=True)
-        out.setflags(write=False)
-        return out
-
-    return Instance(
-        m=int(m), n=int(n),
-        c=_frozen(c_arr), a=_frozen(a_arr), w=_frozen(w_arr),
-        b1=b1_f, b2=b2_f,
-    )
+    if w_arr is None:  # only now is n known to fit len(c)
+        w_arr = default_weights(int(n))
+    for arr in (c_arr, a_arr, w_arr):
+        arr.setflags(write=False)
+    return Instance(m=int(m), n=int(n), c=c_arr, a=a_arr, w=w_arr,
+                    b1=b1_f, b2=b2_f)
 
 
 @dataclass(frozen=True)
@@ -290,9 +283,9 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
     return {
         "m": inst.m,
         "n": inst.n,
-        "c": [float(v) for v in inst.c],
-        "a": [float(v) for v in inst.a],
-        "w": [float(v) for v in inst.w],
+        "c": inst.c.tolist(),
+        "a": inst.a.tolist(),
+        "w": inst.w.tolist(),
         "b1": float(inst.b1),
         "b2": float(inst.b2),
     }
@@ -311,8 +304,8 @@ def solution_to_dict(sol: Solution) -> dict[str, Any]:
         "objective": float(sol.objective),
         "diversity": float(sol.diversity),
         "rho": float(sol.mixture.rho),
-        "slots1": [int(i) for i in sol.mixture.x1.slots],
-        "slots2": [int(i) for i in sol.mixture.x2.slots],
+        "slots1": list(sol.mixture.x1.slots),
+        "slots2": list(sol.mixture.x2.slots),
         "stats": {
             "iterations": sol.stats.iterations,
             "screen_events": sol.stats.screen_events,

@@ -136,22 +136,17 @@ def extremal_diversity(ss: SortedScores, largest: bool, a: np.ndarray,
     with n = len(w), so its last group holds rank n.
 
     Per tie group the slot block's weights are fixed, so the extreme places
-    high-a members on heavy slots (max) or low-a members there (min); the
-    last group, when it straddles the cut, also picks which members receive
-    its slots before n. Returns (value, slots) with slots in local indices.
+    high-a members on heavy slots (max) or low-a members there (min): one
+    stable sort by group, then by -a or a, cut at n, which also picks the
+    members of a last group straddling the cut that receive its slots
+    before n. Returns (value, slots) with slots in local indices.
     """
     n = w.shape[0]
     slots = ss.order[:n]
     if not ss.unique:
-        slots = slots.copy()
-        for g in ((ss.ends - ss.starts) > 1).nonzero()[0].tolist():
-            start, end = int(ss.starts[g]), int(ss.ends[g])
-            members = ss.order[start:end]
-            # Largest-a members first for the max (descending against
-            # descending weights), smallest first for the min; slots[start:end]
-            # stops at n, so the last group gives only its slots before n.
-            av = -a[members] if largest else a[members]
-            slots[start:end] = members[av.argsort(kind="stable")[:n - start]]
+        group = np.repeat(np.arange(ss.starts.shape[0]), ss.ends - ss.starts)
+        av = a[ss.order]
+        slots = ss.order[np.lexsort((-av if largest else av, group))[:n]]
     return float(w.dot(a[slots])), slots
 
 

@@ -98,18 +98,11 @@ class Reduction:
 def _diversity_extreme(inst: Instance | OneSidedInstance, *,
                        largest: bool) -> tuple[float, np.ndarray]:
     """Largest or smallest weighted diversity over all assignments, and its
-    slots: the n largest values of a, largest first, or the n smallest,
-    smallest first, so the heaviest slot takes the most extreme value; only
-    those n are sorted."""
-    a, n = inst.a, inst.n
-    if largest:
-        cut = a.shape[0] - n
-        slots = a.argpartition(cut)[cut:]
-        slots = slots[(-a[slots]).argsort(kind="stable")]
-    else:
-        slots = a.argpartition(n - 1)[:n]
-        slots = slots[a[slots].argsort(kind="stable")]
-    return float(np.dot(inst.w, a[slots])), slots
+    slots: the top n of a, or of -a, with ties by ascending index, so the
+    heaviest slot takes the most extreme value."""
+    a = inst.a
+    un = unconstrained_extremes(a if largest else -a, a, inst.w)
+    return (un.max_div, un.slots_max) if largest else (un.min_div, un.slots_min)
 
 
 def precheck_feasibility(inst: Instance) -> FeasibilityReport:

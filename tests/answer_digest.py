@@ -93,12 +93,13 @@ def answer(inst, opts) -> tuple[str, str]:
     return ("exact" if st.exact else "inexact"), repr(fields)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     digest = hashlib.sha256()
     kinds = {"exact": 0, "inexact": 0, "infeasible": 0}
     default_cap = solver_module.MAX_EVALUATIONS
+    out = open(argv[0], "w", encoding="utf-8") if argv else None
     try:
-        for inst in corpus():
+        for index, inst in enumerate(corpus()):
             for cap in CAPS:
                 solver_module.MAX_EVALUATIONS = cap
                 for opts in OPTIONS:
@@ -106,8 +107,12 @@ def main() -> int:
                     kinds[kind] += 1
                     digest.update(text.encode())
                     digest.update(b"\n")
+                    if out:
+                        out.write(f"{index} {cap} {opts} {text}\n")
     finally:
         solver_module.MAX_EVALUATIONS = default_cap
+        if out:
+            out.close()
     total = sum(kinds.values())
     print(f"outputs {total}: exact {kinds['exact']}, inexact {kinds['inexact']}, "
           f"infeasible {kinds['infeasible']}")
@@ -116,4 +121,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import divrank
+from divrank import cli
 from divrank.cli import (ALG_BISECTION, ALG_SCREENING, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, REFERENCE_SCREENING_MS,
                          main, run_benchmark)
@@ -78,6 +79,17 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path)]) == EXIT_INVALID
         err = json.loads(capsys.readouterr().err)
         assert "NonDecreasingWeights" in err["errors"]
+
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"m": 2, "n": 1, "c": [1' + "0" * 400 + ', 0], '
+                        '"a": [1, 0], "w": null, "b1": -1, "b2": 1}',
+                        encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["status"] == "Invalid" and doc["errors"] == ["NonFinite"]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INVALID
@@ -255,6 +267,17 @@ class TestUnwritableOutput:
         else:
             assert err.startswith(f"divrank {command}: ")
             assert err.count("\n") == 1
+
+    def test_bench_csv_opened_before_the_run(self, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_benchmark",
+                            lambda *args, **kwargs: calls.append(1) or [])
+        target = str(tmp_path / "missing" / "out.csv")
+        assert main(["bench", "--m-list", "5", "--n-list", "2", "--csv",
+                     target]) == EXIT_INVALID
+        assert calls == []
+        assert capsys.readouterr().err.startswith("divrank bench: ")
 
 
 class TestParser:

@@ -87,6 +87,32 @@ class TestValidateInstance:
             validate_instance(**args)
         assert ERR_NON_FINITE in err.value.errors
 
+    @pytest.mark.parametrize("field, huge, inf", [
+        ("c", [3, -10 ** 400, 0], [3, -1e400, 0]),
+        ("a", [10 ** 400, -1, 0], [1e400, -1, 0]),
+        ("w", [10 ** 400, 1], [1e400, 1]),
+        ("b1", -10 ** 400, -1e400),
+        ("b2", 10 ** 400, 1e400),
+    ], ids=["c", "a", "w", "b1", "b2"])
+    def test_integer_past_the_float_range_is_non_finite(self, field, huge, inf):
+        # Reported exactly as the infinity JSON reads 1e400 as.
+        args = self.valid_args()
+        args[field] = huge
+        with pytest.raises(ValidationError) as err:
+            validate_instance(**args)
+        args[field] = inf
+        with pytest.raises(ValidationError) as err_inf:
+            validate_instance(**args)
+        assert err.value.errors == err_inf.value.errors
+        assert ERR_NON_FINITE in err.value.errors
+        assert err.value.messages == err_inf.value.messages
+
+    @pytest.mark.parametrize("n", [10 ** 13, 10 ** 400], ids=["1e13", "1e400"])
+    def test_default_weights_wait_for_a_valid_n(self, n):
+        with pytest.raises(ValidationError) as err:
+            validate_instance(1, n, [1.0], [1.0], None, -1, 1)
+        assert err.value.errors == [ERR_N_TOO_LARGE]
+
     def test_dimension_mismatch(self):
         args = self.valid_args()
         args["a"] = [1.0, -1.0]
@@ -122,6 +148,9 @@ class TestValidateInstance:
             inst.c[0] = 99.0
         with pytest.raises(ValueError):
             inst.w[0] = 99.0
+        args = self.valid_args()
+        args["w"] = None
+        assert not validate_instance(**args).w.flags.writeable
 
     def test_input_arrays_not_aliased(self):
         c = np.array([3.0, 2.0, 0.0])
@@ -161,6 +190,22 @@ class TestSerialization:
         save_instance(inst, str(path))
         back = load_instance(str(path))
         assert instance_to_dict(back) == instance_to_dict(inst)
+
+    def test_json_matches_per_element_conversion(self):
+        inst = validate_instance(3, 2, [0.1, 2.0, -1e-300], [1.0, -1.0, 0.0],
+                                 None, -1.0, 1.0)
+        doc = instance_to_dict(inst)
+        assert json.dumps(doc) == json.dumps(
+            dict(doc, c=[float(v) for v in inst.c], a=[float(v) for v in inst.a],
+                 w=[float(v) for v in inst.w]))
+        x = ExtremeAssignment((2, 0))
+        mix = PrimalMixture(x1=x, x2=x, rho=1.0, objective=3.0, diversity=1.0)
+        sol = Solution(status="UnconstrainedOptimal", lambda_star=0.0,
+                       mixture=mix, stats=SolveStats())
+        assert json.dumps(solution_to_dict(sol)).startswith(
+            '{"status": "UnconstrainedOptimal", "lambda_star": 0.0, '
+            '"objective": 3.0, "diversity": 1.0, "rho": 1.0, '
+            '"slots1": [2, 0], "slots2": [2, 0]')
 
     def test_null_weights_parse_as_defaults(self):
         inst = parse_instance({"m": 2, "n": 2, "c": [1.0, 0.0],

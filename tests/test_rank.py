@@ -258,7 +258,35 @@ class TestTopNWithTies:
         assert ss.ends.tolist() == ss2.ends.tolist()
 
 
+def loop_extremal(ss, largest, a, w):
+    """The per-group loop that extremal_diversity's one stable sort
+    replaced, kept as its reference."""
+    n = w.shape[0]
+    slots = ss.order[:n].copy()
+    for start, end in zip(ss.starts.tolist(), ss.ends.tolist()):
+        members = ss.order[start:end]
+        av = -a[members] if largest else a[members]
+        slots[start:end] = members[av.argsort(kind="stable")[:n - start]]
+    return float(w.dot(a[slots])), slots
+
+
 class TestExtremalDiversity:
+    def test_matches_per_group_loop(self):
+        # Coarse scores and diversities: tie groups at and before the cut,
+        # members with equal a inside them, and tau chains on every third.
+        for rep in range(300):
+            rng = np.random.default_rng((305, rep))
+            m = int(rng.integers(1, 60))
+            n = int(rng.integers(1, m + 1))
+            z = np.round(rng.normal(size=m), rep % 2)
+            a = np.round(rng.normal(size=m), 1)
+            ss = sort_scores(z, 0.15 if rep % 3 == 0 else 0.0, n)
+            w = strict_weights(rng, n)
+            for largest in (False, True):
+                val, slots = extremal_diversity(ss, largest, a, w)
+                val_ref, slots_ref = loop_extremal(ss, largest, a, w)
+                assert slots.tolist() == slots_ref.tolist() and val == val_ref
+
     def test_two_way_tie_single_slot(self):
         z = np.array([2.5, 2.5, 0.0])
         a = np.array([1.0, -1.0, 0.0])

@@ -67,6 +67,24 @@ class TestPrecheck:
             assert pre.div_min == float(np.dot(inst.w, a_sorted[:n]))
             assert pre.div_max == float(np.dot(inst.w, a_sorted[::-1][:n]))
 
+    def test_extremes_break_ties_by_ascending_index(self, monkeypatch):
+        # Both extremes are top-n selections through rank, whose tie rule
+        # puts the lower index first among equal values.
+        calls = []
+        real = solver_module.unconstrained_extremes
+        monkeypatch.setattr(solver_module, "unconstrained_extremes",
+                            lambda *args: calls.append(1) or real(*args))
+        inst = validate_instance(5, 3, np.zeros(5), [1.2, 1.2, 0.0, 0.5, 0.7],
+                                 None, -10.0, 10.0)
+        d_max, s_max = solver_module._diversity_extreme(inst, largest=True)
+        assert s_max.tolist() == [0, 1, 4]
+        assert d_max == float(np.dot(inst.w, [1.2, 1.2, 0.7]))
+        inst = validate_instance(5, 2, np.zeros(5), [0.5, 0.0, 0.0, 1.0, 0.0],
+                                 None, -10.0, 10.0)
+        d_min, s_min = solver_module._diversity_extreme(inst, largest=False)
+        assert s_min.tolist() == [1, 2] and d_min == 0.0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("b1, b2, status", [
         (-3.0, -2.0, STATUS_UPPER_ACTIVE),  # top candidate's a = 1 > b2 > div_min
         (2.0, 3.0, STATUS_LOWER_ACTIVE),  # below b1 and so is div_max
