@@ -1,7 +1,8 @@
 """Command-line interface: solve, gen, verify, bench.
 
-Exit codes: 0 success, 1 verify mismatch, 2 invalid input or an unreadable
-or unwritable path, 3 infeasible. A solve reports through its JSON alone:
+Exit codes: 0 success, 1 verify mismatch, 2 invalid input, an unreadable
+or unwritable path, or generator arguments that no draw can meet, 3
+infeasible. A solve reports through its JSON alone:
 an inexact end shows as "exact": false with its duality gap.
 """
 from __future__ import annotations
@@ -106,12 +107,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     config = GenConfig(m=args.m, n=args.n, alpha=args.alpha, seed=args.seed)
     try:
         inst = gen_synthetic(config)
-    except RegenExhaustedError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
         _emit(json.dumps(instance_to_dict(inst)), args.output)
-    except OSError as exc:
+    except (RegenExhaustedError, OSError) as exc:
         print(f"divrank gen: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK
@@ -128,7 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tiny = args.m <= 7 and args.n <= 3
     for rep in range(args.count):
         key = seed_key(args.seed, args.m, args.n, rep)
-        inst = gen_synthetic(GenConfig(m=args.m, n=args.n, seed=key))
+        try:
+            inst = gen_synthetic(GenConfig(m=args.m, n=args.n, seed=key))
+        except RegenExhaustedError as exc:
+            print(f"divrank verify: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         sol_scr = solve(inst, SolveOptions(screening=True))
         sol_raw = solve(inst, SolveOptions(screening=False))
         red = reduce_two_sided(inst)
@@ -236,7 +237,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     writer.writerow([row.m, row.n, row.algorithm,
                                      f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
                                      len(row.times_ms), f"{row.median_ms:.6f}"])
-    except OSError as exc:
+    except (RegenExhaustedError, OSError) as exc:
         print(f"divrank bench: {exc}", file=sys.stderr)
         return EXIT_INVALID
     header = f"{'m':>7} {'n':>4} {'algorithm':>10} {'mean_ms':>10} {'std_ms':>9} {'median_ms':>10}"

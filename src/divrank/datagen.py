@@ -23,9 +23,13 @@ from .solver import precheck_feasibility
 
 SeedLike = Union[int, Sequence[int]]
 
+# Draws gen_synthetic makes before it gives up.
+MAX_REGEN = 100
+
 
 class RegenExhaustedError(RuntimeError):
-    """Too many draws failed the positive-top-diversity acceptance check."""
+    """No draw in MAX_REGEN passed the acceptance checks: a positive top
+    diversity and a feasible instance."""
 
 
 class ZeroScoresError(ValueError):
@@ -45,7 +49,6 @@ class GenConfig:
     alpha: float = 0.5
     seed: SeedLike = 0
     b_scale: float = 0.8
-    max_regen: int = 100
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.n > self.m:
@@ -54,8 +57,6 @@ class GenConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.b_scale <= 1.0:
             raise ValueError("b_scale must lie in (0, 1]")
-        if self.max_regen < 1:
-            raise ValueError("max_regen must be >= 1")
 
 
 def gen_synthetic(config: GenConfig) -> Instance:
@@ -65,7 +66,8 @@ def gen_synthetic(config: GenConfig) -> Instance:
     w = default_weights(config.n)
     beta = float(np.sqrt(1.0 - config.alpha ** 2))
     base = seed_key(config.seed)
-    for attempt in range(config.max_regen):
+    nonpositive = 0
+    for attempt in range(MAX_REGEN):
         rng = np.random.default_rng(base + (attempt,))
         pairs = rng.standard_normal((config.m, 2))
         a = pairs[:, 0].copy()
@@ -74,6 +76,7 @@ def gen_synthetic(config: GenConfig) -> Instance:
         # smallest attainable value, so b2 < it holds for every optimum.
         top_div = unconstrained_extremes(c, a, w).min_div
         if top_div <= 0.0:
+            nonpositive += 1
             continue
         b2 = config.b_scale * top_div
         inst = validate_instance(config.m, config.n, c, a, w, -b2, b2)
@@ -82,8 +85,9 @@ def gen_synthetic(config: GenConfig) -> Instance:
         if precheck_feasibility(inst).feasible:
             return inst
     raise RegenExhaustedError(
-        f"no acceptable draw in {config.max_regen} attempts for seed "
-        f"{base}; top diversity kept coming out nonpositive")
+        f"no acceptable draw in {MAX_REGEN} attempts for seed {base}: "
+        f"{nonpositive} had a nonpositive top diversity, "
+        f"{MAX_REGEN - nonpositive} were infeasible")
 
 
 def noise_replicate(inst: Instance, level: float = 0.2,

@@ -74,11 +74,11 @@ class ActiveSet(NamedTuple):
 
 
 class DualEvaluation(NamedTuple):
-    """g and its one-sided derivatives at a point, with the extreme-diversity
-    maximizing assignments as slot arrays of positions in the active set it
-    was evaluated over (active.indices maps them to candidates). They are
-    also the top sets just right (slots_min) and just left (slots_max) of
-    lam, which the kink step pairs against."""
+    """g and its one-sided derivatives at a point over active, with the
+    extreme-diversity maximizing assignments as slot arrays of positions in
+    active (active.indices maps them to candidates). They are also the top
+    sets just right (slots_min) and just left (slots_max) of lam, which the
+    kink step pairs against."""
 
     lam: float
     g: float
@@ -90,6 +90,15 @@ class DualEvaluation(NamedTuple):
     slots_min: np.ndarray
     slots_max: np.ndarray
     tau: float
+    active: ActiveSet
+
+
+def scores(lines, lam) -> np.ndarray:
+    """c - lam a of an instance or active set, formed as c + (-lam) a, the
+    same bits; lam may be a column of points."""
+    z = lines.a * -lam
+    z += lines.c
+    return z
 
 
 def kink_tie_tol(z: np.ndarray) -> float:
@@ -107,17 +116,15 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
     tau widens tie detection; pass 0 except at a traced kink where float
     noise hides the expected tie.
     """
-    z = active.a * -lam  # c + (-lam) a is c - lam a bit for bit, in one array
-    z += active.c
+    z = scores(active, lam)
     value, min_div, max_div, slots_min, slots_max = unconstrained_extremes(
         z, active.a, inst.w, tau)
     return DualEvaluation(float(lam), value + inst.b2 * lam, inst.b2 - max_div,
                           inst.b2 - min_div, z, min_div, max_div, slots_min,
-                          slots_max, float(tau))
+                          slots_max, float(tau), active)
 
 
-def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
-                      forward: bool) -> float:
+def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
     """Smallest positive distance to a score-line crossing against the top
     set on the requested side of ev.lam; +inf when there is none.
 
@@ -148,7 +155,7 @@ def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
     not depend on the block.
     """
     t_idx = ev.slots_min if forward else ev.slots_max
-    z, a = ev.z, active.a
+    z, a = ev.z, ev.active.a
     z_top, a_top = z[t_idx, None], a[t_idx, None]
     z_min = float(z_top.min())
     a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())) if a.size else 0.0
@@ -174,22 +181,22 @@ def _nearest_crossing(ev: DualEvaluation, active: ActiveSet,
     return float(best.view(np.float64)) if best < _INF_BITS else math.inf
 
 
-def kink_right(ev: DualEvaluation, active: ActiveSet) -> float:
+def kink_right(ev: DualEvaluation) -> float:
     """Nearest kink of g strictly to the right of ev.lam; +inf if none."""
-    return ev.lam + _nearest_crossing(ev, active, forward=True)
+    return ev.lam + _nearest_crossing(ev, forward=True)
 
 
-def kink_left(ev: DualEvaluation, active: ActiveSet) -> float | None:
+def kink_left(ev: DualEvaluation) -> float | None:
     """Nearest kink of g strictly to the left of ev.lam, within the domain
     [0, ev.lam); None when g is affine on [0, ev.lam]."""
-    lam = ev.lam - _nearest_crossing(ev, active, forward=False)
+    lam = ev.lam - _nearest_crossing(ev, forward=False)
     return lam if lam >= 0.0 else None  # -inf when there is no crossing
 
 
 def _argmin_g(inst: OneSidedInstance, active: ActiveSet, lam: np.ndarray) -> int:
     """Index of the smallest g over the active set among the points lam,
     from one sort of the len(lam) x |active| score matrix."""
-    z = active.c - lam[:, None] * active.a
+    z = scores(active, lam[:, None])
     z.sort(axis=1)
     return int((z[:, :-inst.n - 1:-1].dot(inst.w) + inst.b2 * lam).argmin())
 

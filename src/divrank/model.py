@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
@@ -68,29 +69,36 @@ class Instance:
     b2: float
 
 
-def _real(v, convert=float):
-    """convert(v), reading an integer past the float range as the infinity
-    of its sign, as JSON reads 1e400."""
+def _real(v) -> float:
+    """float(v) for a real number other than a bool, reading an integer past
+    the float range as the infinity of its sign, as JSON reads 1e400."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{v!r} is not a real number")
     try:
-        return convert(v)
+        return float(v)
     except OverflowError:
         return math.inf if v > 0 else -math.inf
 
 
 def _as_vector(x: Any, name: str, fail: Callable[[str, str], None]):
+    """x as a new one-dimensional float64 array, or None once fail has
+    reported why not. numpy's dtype gives the kind: it must be an integer
+    or a float, so strings, bools, None and complex values are refused;
+    only an object array, such as Python ints past the int64 range, is read
+    entry by entry."""
     try:
-        try:
-            arr = np.array(x, dtype=np.float64)  # the Instance's own copy
-        except OverflowError:
-            real = np.frompyfunc(lambda v: _real(v, np.float64), 1, 1)
-            arr = np.array(real(np.array(x, dtype=object)), dtype=np.float64)
+        raw = np.asarray(x)
+        if raw.dtype.kind == "O":
+            raw = np.array(np.frompyfunc(_real, 1, 1)(raw), dtype=np.float64)
+        if raw.dtype.kind not in "iuf":
+            raise TypeError(f"dtype {raw.dtype}")
     except (TypeError, ValueError):
         fail(ERR_DIMENSION, f"{name} is not a numeric vector")
         return None
-    if arr.ndim != 1:
+    if raw.ndim != 1:
         fail(ERR_DIMENSION, f"{name} must be one-dimensional")
         return None
-    return arr
+    return np.array(raw, dtype=np.float64)  # the Instance's own copy
 
 
 def validate_instance(m, n, c, a, w, b1, b2) -> Instance:
@@ -127,20 +135,20 @@ def validate_instance(m, n, c, a, w, b1, b2) -> Instance:
             if arr is not None and arr.shape[0] != size:
                 fail(ERR_DIMENSION, f"len({name})={arr.shape[0]} != {dim}={size}")
 
-    try:
-        b1_f = _real(b1)
-        b2_f = _real(b2)
-    except (TypeError, ValueError):
-        fail(ERR_DIMENSION, "b1/b2 must be real numbers")
-        b1_f = b2_f = np.nan
+    bounds = {}
+    for name, val in (("b1", b1), ("b2", b2)):
+        try:
+            bounds[name] = _real(val)
+        except TypeError:
+            fail(ERR_DIMENSION, f"{name} must be a real number")
 
     non_finite = [name for name, part in (("c", c_arr), ("a", a_arr), ("w", w_arr))
                   if part is not None and not np.isfinite(part).all()]
     for name in non_finite:
         fail(ERR_NON_FINITE, f"{name} contains non-finite entries")
-    bounds_finite = math.isfinite(b1_f) and math.isfinite(b2_f)
-    if not bounds_finite:
-        fail(ERR_NON_FINITE, "b1/b2 must be finite")
+    for name, val in bounds.items():
+        if not math.isfinite(val):
+            fail(ERR_NON_FINITE, f"{name} must be finite")
 
     if w_arr is not None and "w" not in non_finite:
         if (w_arr <= 0.0).any():
@@ -148,7 +156,8 @@ def validate_instance(m, n, c, a, w, b1, b2) -> Instance:
         if (w_arr[1:] >= w_arr[:-1]).any():
             fail(ERR_WEIGHTS_ORDER, "w must be strictly decreasing")
 
-    if bounds_finite and b1_f > b2_f:
+    b1_f, b2_f = bounds.get("b1", math.nan), bounds.get("b2", math.nan)
+    if math.isfinite(b1_f) and math.isfinite(b2_f) and b1_f > b2_f:
         fail(ERR_BOUNDS, f"b1={b1_f} > b2={b2_f}")
 
     if errors:

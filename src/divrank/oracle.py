@@ -17,13 +17,18 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import ActiveSet, OneSidedInstance, eval_dual, kink_right, kink_tie_tol
+from .dual import (ActiveSet, OneSidedInstance, eval_dual, kink_right,
+                   kink_tie_tol, scores)
 from .model import Instance
 
 # Largest m accepted by the breakpoint oracle (the grid is O(m^2)).
 BREAKPOINT_SIZE_CAP = 2000
+# Largest m accepted by the kink-set oracle (a dense scan of every gap).
+KINK_SCAN_CAP = 200
 # Largest (m, n) accepted by the brute-force oracle.
 BRUTE_FORCE_CAP = (7, 3)
+# Relative tolerance by which oracle_support widens the top-n threshold.
+SUPPORT_RTOL = 1e-9
 # Candidate ratios closer than this, relative to their size, are merged into
 # one kink; purely relative, so the grid resolves kinks at any scale.
 MERGE_RTOL = 1e-12
@@ -91,8 +96,7 @@ def _gap_midpoint(grid: np.ndarray, i: int) -> float:
     return grid[i] + 1.0 + grid[i]  # representative of the unbounded tail
 
 
-def oracle_dual_breakpoints(inst: OneSidedInstance,
-                            size_cap: int = BREAKPOINT_SIZE_CAP) -> OracleDualResult:
+def oracle_dual_breakpoints(inst: OneSidedInstance) -> OracleDualResult:
     """Exact dual minimizer from the exhaustive crossing-ratio grid.
 
     Between consecutive grid points g is linear (every kink is a grid point)
@@ -100,8 +104,9 @@ def oracle_dual_breakpoints(inst: OneSidedInstance,
     nonnegative slope pins lambda*: the left end of that gap, favoring the
     smallest minimizer on a flat stretch. Exact up to float arithmetic.
     """
-    if inst.m > size_cap:
-        raise SizeCapError(f"m={inst.m} exceeds the breakpoint oracle cap {size_cap}")
+    if inst.m > BREAKPOINT_SIZE_CAP:
+        raise SizeCapError(f"m={inst.m} exceeds the breakpoint oracle cap "
+                           f"{BREAKPOINT_SIZE_CAP}")
     grid = _candidate_grid(inst)
     n_gaps = grid.shape[0]  # gap i follows grid[i]
     if _slope_at(inst, _gap_midpoint(grid, n_gaps - 1)) < 0.0:
@@ -131,14 +136,13 @@ def oracle_dual_breakpoints(inst: OneSidedInstance,
     )
 
 
-def oracle_kink_set(inst: OneSidedInstance,
-                    size_cap: int = 200) -> np.ndarray:
+def oracle_kink_set(inst: OneSidedInstance) -> np.ndarray:
     """True kinks of g: grid points whose neighboring pieces change slope.
 
     Evaluates the slope on every gap (dense scan), so keep m small.
     """
-    if inst.m > size_cap:
-        raise SizeCapError(f"m={inst.m} exceeds the kink-scan cap {size_cap}")
+    if inst.m > KINK_SCAN_CAP:
+        raise SizeCapError(f"m={inst.m} exceeds the kink-scan cap {KINK_SCAN_CAP}")
     grid = _candidate_grid(inst)
     mids = np.array([_gap_midpoint(grid, i) for i in range(grid.shape[0])])
     z = inst.c[None, :] - mids[:, None] * inst.a[None, :]
@@ -161,9 +165,8 @@ def trace_kinks(inst: OneSidedInstance) -> np.ndarray:
     lam = 0.0
     out: list[float] = []
     for _ in range(inst.m * (inst.m - 1) // 2 + 2):
-        z = active.c - lam * active.a
-        ev = eval_dual(inst, lam, active, tau=kink_tie_tol(z))
-        nxt = kink_right(ev, active)
+        ev = eval_dual(inst, lam, active, tau=kink_tie_tol(scores(active, lam)))
+        nxt = kink_right(ev)
         if not math.isfinite(nxt):
             return np.asarray(out)
         out.append(nxt)
@@ -189,8 +192,7 @@ class BruteForceResult:
         return sup
 
 
-def brute_force_tiny(inst: Instance,
-                     size_cap: tuple[int, int] = BRUTE_FORCE_CAP) -> BruteForceResult:
+def brute_force_tiny(inst: Instance) -> BruteForceResult:
     """Exhaustive optimum over all assignments and two-assignment mixtures.
 
     An optimal solution always exists in that family: the feasible region is
@@ -198,8 +200,9 @@ def brute_force_tiny(inst: Instance,
     on an edge between two assignment vertices. Reports infeasibility when
     no mixture meets the bounds.
     """
-    if inst.m > size_cap[0] or inst.n > size_cap[1]:
-        raise SizeCapError(f"(m={inst.m}, n={inst.n}) exceeds brute-force cap {size_cap}")
+    if inst.m > BRUTE_FORCE_CAP[0] or inst.n > BRUTE_FORCE_CAP[1]:
+        raise SizeCapError(f"(m={inst.m}, n={inst.n}) exceeds brute-force cap "
+                           f"{BRUTE_FORCE_CAP}")
     verts = np.array(list(itertools.permutations(range(inst.m), inst.n)),
                      dtype=np.intp)
     obj_v = inst.c[verts] @ inst.w
@@ -239,11 +242,10 @@ def brute_force_tiny(inst: Instance,
     )
 
 
-def oracle_support(inst: OneSidedInstance, lambda_star: float,
-                   rtol: float = 1e-9) -> np.ndarray:
+def oracle_support(inst: OneSidedInstance, lambda_star: float) -> np.ndarray:
     """Candidates that any optimal solution may use: the top n scores at
     lambda*, widened by a relative tolerance to absorb the tie group."""
     z = inst.c - lambda_star * inst.a
     thr = np.partition(z, inst.m - inst.n)[inst.m - inst.n]
-    tol = rtol * max(1.0, float(np.max(np.abs(z))))
+    tol = SUPPORT_RTOL * max(1.0, float(np.max(np.abs(z))))
     return np.flatnonzero(z >= thr - tol)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
-                   kink_left, kink_right, kink_tie_tol, lowest_crossing)
+                   kink_left, kink_right, kink_tie_tol, lowest_crossing, scores)
 from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
                     PrimalMixture, Solution, SolveStats, complement)
@@ -69,7 +69,7 @@ class DualSearchState:
     """The dual search's bracket, active set and counts. At its end,
     lambda_star is lambda* and evaluation the evaluation there, or
     lambda_star is None and evaluation is at the bracket's finite end when
-    the search gave up on exactness; active is the set evaluation ran over."""
+    the search gave up on exactness."""
 
     lambda_min: float
     lambda_max: float
@@ -215,22 +215,22 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     """Drop candidates that miss the top n at both bracket endpoints.
 
     The rule is _reaches_witnesses' with T the top set of ev, the tau = 0
-    evaluation over state.active at one endpoint, on the bracket's side of
-    it (slots_min at the left end, slots_max at the right). There the
-    candidates reaching T's minimum, the n-th largest score, are exactly
-    the top set with boundary ties. Drops of the pre-screen (see
-    _prescreen), held back until the first trial confirms its bracket
-    [0, unit], are reported with this call's. Returns every drop reported,
-    as ascending original indices.
+    evaluation at one endpoint, on the bracket's side of it (slots_min at
+    the left end, slots_max at the right). There the candidates reaching
+    T's minimum, the n-th largest score, are exactly the top set with
+    boundary ties. ev.active is screened into state.active. Drops of the
+    pre-screen (see _prescreen), held back until the first trial confirms
+    its bracket [0, unit], are reported with this call's. Returns every
+    drop reported, as ascending original indices.
     """
-    act = state.active
+    act = ev.active
     pending, state.prescreen_pending = state.prescreen_pending, False
     dropped = None
     if math.isfinite(state.lambda_max) and act.size > inst.n:
         left = ev.lam == state.lambda_min  # else ev is at the right end
         other = state.lambda_max if left else state.lambda_min
         # At lambda = 0 the scores c - 0 * a compare exactly as c does.
-        v = act.c - other * act.a if other else act.c
+        v = scores(act, other) if other else act.c
         kept = _reaches_witnesses(ev.z, v, ev.slots_min if left else ev.slots_max)
         keep = kept.nonzero()[0]
         if keep.shape[0] < act.size:
@@ -254,8 +254,7 @@ def _prescreen(inst: OneSidedInstance, unit: float = 1.0) -> ActiveSet:
     every candidate scoring at least the n-th largest at lambda = unit, so
     an evaluation at unit over them equals the full-width one."""
     c = inst.c
-    z = inst.a * -unit  # bit for bit eval_dual's z at lambda = unit
-    z += c
+    z = scores(inst, unit)
     step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
     q = np.minimum(c[::step], z[::step])
     cut = q.shape[0] - inst.n
@@ -319,9 +318,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
         if picked or (big_delta is not None
                       and state.lambda_max - state.lambda_min < big_delta):
             if forward:
-                k = kink_right(ev, state.active)
+                k = kink_right(ev)
             else:
-                k = kink_left(ev, state.active)
+                k = kink_left(ev)
                 if k is None and state.lambda_min == 0.0:
                     k = 0.0  # affine down to the boundary
             # A kink nearer than half an ulp rounds onto state.lam itself;
@@ -375,20 +374,17 @@ def solve_dual_bisection(inst: OneSidedInstance,
 def _eval_at_kink(inst: OneSidedInstance, lam: float,
                   active: ActiveSet) -> DualEvaluation:
     """eval_dual at lam with the kink tie tolerance of the scores there."""
-    z = active.c - lam * active.a
-    return eval_dual(inst, lam, active, tau=kink_tie_tol(z))
+    return eval_dual(inst, lam, active, tau=kink_tie_tol(scores(active, lam)))
 
 
-def recover_primal(ev: DualEvaluation, inst: OneSidedInstance,
-                   active: ActiveSet) -> PrimalMixture:
+def recover_primal(ev: DualEvaluation, inst: OneSidedInstance) -> PrimalMixture:
     """Mix the two diversity-extreme maximizers at ev.lam toward b2, or
     toward their largest diversity if lower. At lambda* they straddle b2,
     so the bound holds with equality and the objective equals g(lambda*).
     At an inexact end whose face misses [inst.b1, inst.b2] the global
     diversity extremes are mixed instead: a closed bracket or the search's
-    range check makes them straddle the band. active is the set ev ran
-    over; its indices map ev's slot positions."""
-    s1, s2 = active.indices[ev.slots_min], active.indices[ev.slots_max]
+    range check makes them straddle the band."""
+    s1, s2 = ev.active.indices[ev.slots_min], ev.active.indices[ev.slots_max]
     d1, d2 = ev.min_div, ev.max_div
     if max(inst.b1, d1) > min(inst.b2, d2):
         d1, s1 = _diversity_extreme(inst, largest=False)
@@ -433,7 +429,7 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
             f"diversity range [{pre.div_min:.6g}, {pre.div_max:.6g}] misses "
             f"[{inst.b1:.6g}, {inst.b2:.6g}]", pre) from None
     ev = state.evaluation
-    mixture = recover_primal(ev, one, state.active)
+    mixture = recover_primal(ev, one)
     # At lambda* strong duality makes g and the objective equal in exact
     # arithmetic; elsewhere g bounds the optimum from above.
     gap = abs(ev.g - mixture.objective) + _rounding_allowance(
@@ -442,7 +438,7 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     # the original diversity.
     if red.status == STATUS_LOWER_ACTIVE:
         mixture = replace(mixture, diversity=-mixture.diversity)
-    survivors = state.active.indices
+    survivors = ev.active.indices
     dropped = one.m - survivors.shape[0]
     stats = SolveStats(iterations=state.iterations,
                        screen_events=state.screen_events, dropped=dropped,

@@ -91,6 +91,18 @@ class TestSolveCommand:
         doc = json.loads(err)
         assert doc["status"] == "Invalid" and doc["errors"] == ["NonFinite"]
 
+    def test_non_numbers_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "strings.json"
+        path.write_text('{"m": 3, "n": 1, "c": ["3", "2", "0"], '
+                        '"a": [true, false, false], "b1": -1, "b2": "0.5"}',
+                        encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["errors"] == ["DimensionMismatch"] * 3
+        assert [msg.split()[0] for msg in doc["messages"]] == ["c", "a", "b2"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == EXIT_INVALID
         capsys.readouterr()
@@ -235,6 +247,10 @@ class TestInvalidGeneratorArguments:
         ["bench", "--m-list", "5", "--n-list", "10"],
         ["bench", "--m-list", "30", "--n-list", "3", "--alpha", "0"],
         ["bench", "--m-list", "30", "--n-list", "3", "--reps", "0"],
+        # At m = n = 1 the generator accepts no draw.
+        ["gen", "--m", "1", "--n", "1"],
+        ["verify", "--m", "1", "--n", "1"],
+        ["bench", "--m-list", "1", "--n-list", "1", "--reps", "1"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == EXIT_INVALID

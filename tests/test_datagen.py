@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from divrank import datagen
 from divrank.datagen import (GenConfig, RegenExhaustedError, ZeroScoresError,
                              gen_synthetic, noise_replicate, seed_key)
 from divrank.model import default_weights, validate_instance
@@ -89,19 +90,28 @@ class TestGenSynthetic:
         assert rejected / 60 < 0.5
 
     def test_regen_exhausted_raises(self):
-        # Seed 4's first draw at m=1 has a negative diversity score, so a
-        # single attempt cannot succeed.  With one candidate the sole
-        # assignment always sits above the shrunken upper bound anyway, so no
-        # number of retries can help at m=1; the error must mention the seed.
+        # With one candidate the sole assignment always sits above the
+        # shrunken upper bound, so no number of retries can help at m=1;
+        # the error must mention the seed.
         with pytest.raises(RegenExhaustedError, match=r"\(4,\)"):
-            gen_synthetic(GenConfig(m=1, n=1, seed=4, max_regen=1))
+            gen_synthetic(GenConfig(m=1, n=1, seed=4))
 
-    def test_regen_moves_to_next_substream(self):
+    def test_exhaustion_names_both_causes(self):
+        # At m=1 a draw with a negative diversity score is refused for its
+        # top diversity, one with a positive score as infeasible.
+        with pytest.raises(RegenExhaustedError,
+                           match=r"\(0,\): 61 had a nonpositive top diversity, "
+                                 r"39 were infeasible"):
+            gen_synthetic(GenConfig(m=1, n=1, seed=0))
+
+    def test_regen_moves_to_next_substream(self, monkeypatch):
         # Seed 5 at m=2 rejects attempts 0..4 and first succeeds at attempt 5,
         # so capping retries below that raises while the default succeeds with
         # the attempt-5 draw bit for bit.
-        with pytest.raises(RegenExhaustedError):
-            gen_synthetic(GenConfig(m=2, n=1, seed=5, max_regen=5))
+        with monkeypatch.context() as mp:
+            mp.setattr(datagen, "MAX_REGEN", 5)
+            with pytest.raises(RegenExhaustedError):
+                gen_synthetic(GenConfig(m=2, n=1, seed=5))
         inst = gen_synthetic(GenConfig(m=2, n=1, seed=5))
         rng = np.random.default_rng(seed_key(5) + (5,))
         pairs = rng.standard_normal((2, 2))

@@ -62,27 +62,27 @@ class TestKinkStepping:
         # The only kink is candidate 1 overtaking candidate 0 at lambda = 1.
         inst, act = make([3, 2], [1, 0], [1], 0.0)
         ev = eval_dual(inst, 0.0, act)
-        assert kink_right(ev, act) == 1.0
+        assert kink_right(ev) == 1.0
 
     def test_nearest_right_kink(self):
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
-        assert kink_right(eval_dual(inst, 0.0, act), act) == 0.5
+        assert kink_right(eval_dual(inst, 0.0, act)) == 0.5
 
     def test_no_crossings_is_infinite(self):
         inst, act = make([3, 2], [0, 0], [1], 0.0)
-        assert kink_right(eval_dual(inst, 0.0, act), act) == np.inf
+        assert kink_right(eval_dual(inst, 0.0, act)) == np.inf
 
     def test_nearest_left_kink(self):
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
-        assert kink_left(eval_dual(inst, 2.0, act), act) == 0.5
+        assert kink_left(eval_dual(inst, 2.0, act)) == 0.5
 
     def test_left_of_first_kink_is_none(self):
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
-        assert kink_left(eval_dual(inst, 0.25, act), act) is None
+        assert kink_left(eval_dual(inst, 0.25, act)) is None
 
     def test_constant_diversity_left_none(self):
         inst, act = make([3, 2, 0], [0, 0, 0], [1], 0.0)
-        assert kink_left(eval_dual(inst, 5.0, act), act) is None
+        assert kink_left(eval_dual(inst, 5.0, act)) is None
 
     def test_kinks_bracket_current_point(self):
         for rep in range(40):
@@ -90,8 +90,8 @@ class TestKinkStepping:
             inst, act = make(c, a, w, 0.0)
             lam = float(np.random.default_rng((404, rep)).uniform(0, 2))
             ev = eval_dual(inst, lam, act)
-            kr = kink_right(ev, act)
-            kl = kink_left(ev, act)
+            kr = kink_right(ev)
+            kl = kink_left(ev)
             assert kr > lam
             if kl is not None:
                 assert 0.0 <= kl < lam
@@ -214,8 +214,8 @@ class TestBlockedKinkStep:
         for block in (1, 7, top, 3 * top + 1, 1 << 16):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dual, "KINK_BLOCK", block)
-                assert kink_right(ev, act) == want_right, block
-                assert kink_left(ev, act) == want_left, block
+                assert kink_right(ev) == want_right, block
+                assert kink_left(ev) == want_left, block
 
     def test_offsets_that_overflow_or_underflow(self):
         # Candidate 1 meets the top member at 2e300 / 1e-10, past the
@@ -226,7 +226,7 @@ class TestBlockedKinkStep:
             inst, act = make(c, a, [1.0], 0.0)
             ev = eval_dual(inst, 0.0, act)
             assert reference_offsets(ev, act, True).tolist() == [offset]
-            assert kink_right(ev, act) == offset
+            assert kink_right(ev) == offset
 
     def test_slope_gap_at_the_tolerance_is_parallel(self):
         # max|a| = 1, so candidate 1's slope gap to the top member, 1e-15,
@@ -234,7 +234,7 @@ class TestBlockedKinkStep:
         inst, act = make([1.0, 0.0, -5.0], [0.0, -1e-15, 1.0], [1.0], 0.0)
         ev = eval_dual(inst, 0.0, act)
         assert reference_offsets(ev, act, True).size == 0
-        assert kink_right(ev, act) == math.inf
+        assert kink_right(ev) == math.inf
 
     def test_memory_is_bounded_at_large_m(self):
         rng = np.random.default_rng(451)
@@ -246,7 +246,7 @@ class TestBlockedKinkStep:
         for step in (kink_right, kink_left):
             tracemalloc.start()
             try:
-                step(ev, act)
+                step(ev)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -282,9 +282,9 @@ class TestKinkStepInSolve:
     def test_answers_equal_reference_step_by_repr(self, inst, monkeypatch):
         steps = []
 
-        def reference_step(ev, active, forward):
+        def reference_step(ev, forward):
             steps.append(forward)
-            return reference_crossing(ev, active, forward)
+            return reference_crossing(ev, ev.active, forward)
 
         for screening in (True, False):
             opts = SolveOptions(screening=screening)
@@ -307,7 +307,7 @@ class TestPiecewiseStructure:
             c, a, w, n = random_one_sided_arrays((405, rep), m_max=25)
             inst, act = make(c, a, w, 0.7)
             ev0 = eval_dual(inst, 0.0, act)
-            kr = kink_right(ev0, act)
+            kr = kink_right(ev0)
             hi = kr if np.isfinite(kr) else 2.0
             pts = np.linspace(0.0, hi, 5)[1:-1]
             gs = [eval_dual(inst, p, act).g for p in pts]

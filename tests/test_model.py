@@ -113,6 +113,32 @@ class TestValidateInstance:
             validate_instance(1, n, [1.0], [1.0], None, -1, 1)
         assert err.value.errors == [ERR_N_TOO_LARGE]
 
+    @pytest.mark.parametrize("field, value", [
+        ("c", ["3", "2", "0"]),
+        ("c", [3.0, None, 0.0]),
+        ("c", np.array(["3", "2", "0"])),
+        ("a", [True, False, False]),
+        ("a", np.array([True, False, False])),
+        ("a", [10 ** 400, True, 0]),
+        ("w", ["2", "1"]),
+        ("b1", "-1"),
+        ("b1", None),
+        ("b2", True),
+        ("b2", [0.5]),
+        ("b2", 0.5j),
+    ], ids=["c-str", "c-none", "c-str-array", "a-bool", "a-bool-array",
+            "a-bool-past-float-range", "w-str", "b1-str", "b1-none", "b2-bool",
+            "b2-list", "b2-complex"])
+    def test_non_numbers_are_refused(self, field, value):
+        # One DimensionMismatch naming the bad field alone, whatever the
+        # value would convert to.
+        args = self.valid_args()
+        args[field] = value
+        with pytest.raises(ValidationError) as err:
+            validate_instance(**args)
+        assert err.value.errors == [ERR_DIMENSION]
+        assert err.value.messages[0].startswith(f"{field} ")
+
     def test_dimension_mismatch(self):
         args = self.valid_args()
         args["a"] = [1.0, -1.0]

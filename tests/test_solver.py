@@ -833,7 +833,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 0.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one)
         assert mix.rho == pytest.approx(0.5)
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.objective == pytest.approx(2.5)
@@ -843,7 +843,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.0)
-        mix = recover_primal(ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one)
         assert mix.rho == 1.0
         assert mix.x1.slots == mix.x2.slots == (0,)
 
@@ -851,7 +851,7 @@ class TestRecoverPrimal:
         one = OneSidedInstance(np.array([3.0, 2.0, 0.0]),
                                np.array([1.0, -1.0, 0.0]), np.array([1.0]), 1.0)
         ev = self.eval_at(one, 0.5, tau=1e-9 * 2.5)
-        mix = recover_primal(ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one)
         assert mix.rho == 0.0
         assert mix.diversity == pytest.approx(1.0)
 
@@ -863,7 +863,7 @@ class TestRecoverPrimal:
         act = ActiveSet.full(one).keep(np.array([1, 2, 3]))
         ev = eval_dual(one, 0.5, act, tau=1e-9 * 2.5)
         assert ev.slots_min.tolist() == [1] and ev.slots_max.tolist() == [0]
-        mix = recover_primal(ev, one, act)
+        mix = recover_primal(ev, one)
         assert mix.x1.slots == (2,) and mix.x2.slots == (1,)
         assert mix.objective == pytest.approx(2.5)
 
@@ -877,7 +877,7 @@ class TestRecoverPrimal:
                                -0.5)
         ev = self.eval_at(one, lam)
         assert max(one.b1, ev.min_div) > min(one.b2, ev.max_div)
-        mix = recover_primal(ev, one, ActiveSet.full(one))
+        mix = recover_primal(ev, one)
         assert mix.x1.slots == (1,) and mix.x2.slots == (0,)
         assert mix.rho == 0.5
         assert -0.5 <= mix.diversity <= one.b2
