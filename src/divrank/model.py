@@ -72,7 +72,8 @@ class Instance:
 def _real(v) -> float:
     """float(v) for a real number other than a bool, reading an integer past
     the float range as the infinity of its sign, as JSON reads 1e400."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+    # float and int go first: the numbers.Real check alone is slow.
+    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
         raise TypeError(f"{v!r} is not a real number")
     try:
         return float(v)
@@ -88,9 +89,10 @@ def _as_vector(x: Any, name: str, fail: Callable[[str, str], None]):
     entry by entry."""
     try:
         raw = np.asarray(x)
-        if raw.dtype.kind == "O":
+        kind = raw.dtype.kind
+        if kind == "O":
             raw = np.array(np.frompyfunc(_real, 1, 1)(raw), dtype=np.float64)
-        if raw.dtype.kind not in "iuf":
+        elif kind not in "iuf":
             raise TypeError(f"dtype {raw.dtype}")
     except (TypeError, ValueError):
         fail(ERR_DIMENSION, f"{name} is not a numeric vector")
