@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import statistics
 import sys
 from dataclasses import dataclass
@@ -57,18 +58,23 @@ def _emit(text: str, path: str | None) -> None:
         print(text)
 
 
-def _bad_generator_args(m_list: list[int], n_list: list[int], seed: int,
-                        alpha: float = GenConfig.alpha) -> str | None:
-    """Why the generator would refuse some (m, n) pair, or None."""
+class RefusedError(Exception):
+    """gen, verify or bench cannot run as asked; main() prints one
+    "divrank <cmd>: ..." line and exits 2, as for RegenExhaustedError and
+    an OSError."""
+
+
+def _check_generator_args(m_list: list[int], n_list: list[int], seed: int,
+                          alpha: float = GenConfig.alpha) -> None:
+    """Raise RefusedError when the generator would refuse some (m, n) pair."""
     if seed < 0:
-        return f"--seed must be non-negative, got {seed}"
+        raise RefusedError(f"--seed must be non-negative, got {seed}")
     for m in m_list:
         for n in n_list:
             try:
                 GenConfig(m=m, n=n, alpha=alpha)
             except ValueError as exc:
-                return f"{exc} (m={m}, n={n}, alpha={alpha:g})"
-    return None
+                raise RefusedError(f"{exc} (m={m}, n={n}, alpha={alpha:g})") from None
 
 
 def _invalid(errors: list[str], messages: list[str]) -> int:
@@ -100,36 +106,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    problem = _bad_generator_args([args.m], [args.n], args.seed, args.alpha)
-    if problem:
-        print(f"divrank gen: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    config = GenConfig(m=args.m, n=args.n, alpha=args.alpha, seed=args.seed)
-    try:
-        inst = gen_synthetic(config)
-        _emit(json.dumps(instance_to_dict(inst)), args.output)
-    except (RegenExhaustedError, OSError) as exc:
-        print(f"divrank gen: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    _check_generator_args([args.m], [args.n], args.seed, args.alpha)
+    inst = gen_synthetic(GenConfig(m=args.m, n=args.n, alpha=args.alpha,
+                                   seed=args.seed))
+    _emit(json.dumps(instance_to_dict(inst)), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Cross-check the solver against the oracles on seeded instances."""
-    problem = (f"--count must be non-negative, got {args.count}" if args.count < 0
-               else _bad_generator_args([args.m], [args.n], args.seed))
-    if problem:
-        print(f"divrank verify: {problem}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.count < 0:
+        raise RefusedError(f"--count must be non-negative, got {args.count}")
+    _check_generator_args([args.m], [args.n], args.seed)
     bad: list[tuple[int, ...]] = []
     tiny = args.m <= 7 and args.n <= 3
     for rep in range(args.count):
         key = seed_key(args.seed, args.m, args.n, rep)
-        try:
-            inst = gen_synthetic(GenConfig(m=args.m, n=args.n, seed=key))
-        except RegenExhaustedError as exc:
-            print(f"divrank verify: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        inst = gen_synthetic(GenConfig(m=args.m, n=args.n, seed=key))
         sol_scr = solve(inst, SolveOptions(screening=True))
         sol_raw = solve(inst, SolveOptions(screening=False))
         red = reduce_two_sided(inst)
@@ -217,29 +210,29 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    problem = (f"--reps must be at least 1, got {args.reps}" if args.reps < 1
-               else _bad_generator_args(args.m_list, args.n_list, args.seed,
-                                        args.alpha))
-    if problem:
-        print(f"divrank bench: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    # Open the CSV first, so a bad path fails before any timing.
-    try:
-        with (open(args.csv, "w", newline="", encoding="utf-8") if args.csv
-              else contextlib.nullcontext()) as fh:
+    if args.reps < 1:
+        raise RefusedError(f"--reps must be at least 1, got {args.reps}")
+    _check_generator_args(args.m_list, args.n_list, args.seed, args.alpha)
+    # Open the CSV first, so a bad path fails before any timing; a run that
+    # fails removes it again.
+    with (open(args.csv, "w", newline="", encoding="utf-8") if args.csv
+          else contextlib.nullcontext()) as fh:
+        try:
             rows = run_benchmark(args.m_list, args.n_list, reps=args.reps,
                                  alpha=args.alpha, seed=args.seed)
+        except BaseException:
             if fh is not None:
-                writer = csv.writer(fh)
-                writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms",
-                                 "reps", "median_ms"])
-                for row in rows:
-                    writer.writerow([row.m, row.n, row.algorithm,
-                                     f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
-                                     len(row.times_ms), f"{row.median_ms:.6f}"])
-    except (RegenExhaustedError, OSError) as exc:
-        print(f"divrank bench: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+                fh.close()
+                os.remove(args.csv)
+            raise
+        if fh is not None:
+            writer = csv.writer(fh)
+            writer.writerow(["m", "n", "algorithm", "mean_ms", "std_ms",
+                             "reps", "median_ms"])
+            for row in rows:
+                writer.writerow([row.m, row.n, row.algorithm,
+                                 f"{row.mean_ms:.6f}", f"{row.std_ms:.6f}",
+                                 len(row.times_ms), f"{row.median_ms:.6f}"])
     header = f"{'m':>7} {'n':>4} {'algorithm':>10} {'mean_ms':>10} {'std_ms':>9} {'median_ms':>10}"
     print(header)
     for row in rows:
@@ -295,9 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (RefusedError, RegenExhaustedError, OSError) as exc:
+        # solve reports its own input and output errors as JSON lines.
+        print(f"divrank {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entry() -> None:

@@ -186,11 +186,10 @@ def kink_right(ev: DualEvaluation) -> float:
     return ev.lam + _nearest_crossing(ev, forward=True)
 
 
-def kink_left(ev: DualEvaluation) -> float | None:
-    """Nearest kink of g strictly to the left of ev.lam, within the domain
-    [0, ev.lam); None when g is affine on [0, ev.lam]."""
-    lam = ev.lam - _nearest_crossing(ev, forward=False)
-    return lam if lam >= 0.0 else None  # -inf when there is no crossing
+def kink_left(ev: DualEvaluation) -> float:
+    """Nearest kink of g strictly left of ev.lam, within [0, ev.lam); 0.0,
+    the end of the domain, when g is affine on [0, ev.lam]."""
+    return max(ev.lam - _nearest_crossing(ev, forward=False), 0.0)
 
 
 def _argmin_g(inst: OneSidedInstance, active: ActiveSet, lam: np.ndarray) -> int:

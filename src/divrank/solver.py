@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -66,20 +66,18 @@ class SolveOptions:
 
 @dataclass
 class DualSearchState:
-    """The dual search's bracket, active set and counts. At its end,
-    lambda_star is lambda* and evaluation the evaluation there, or
-    lambda_star is None and evaluation is at the bracket's finite end when
-    the search gave up on exactness."""
+    """The dual search's bracket, survivors and counts (the trial point is
+    the search's own). At its end, lambda_star is lambda* and evaluation the
+    evaluation there, or lambda_star is None and evaluation is at the
+    bracket's finite end when the search gave up on exactness."""
 
     lambda_min: float
     lambda_max: float
-    lam: float
     active: ActiveSet
     iterations: int = 0
     screen_events: int = 0
     # The pre-screen's drops await the first trial's verdict on [0, unit].
     prescreen_pending: bool = False
-    bracket_history: list[tuple[float, float]] = field(default_factory=list)
     lambda_star: Optional[float] = None
     evaluation: Optional[DualEvaluation] = None
 
@@ -272,8 +270,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
     Bisection on the sign of the one-sided derivatives, after doubling from
     unit, brackets the minimizer; once the bracket is narrower than
     1e-2 (unit + lambda_max) at the first closed bracket, stepping to the
-    nearest kink on the side of the minimum and testing the subgradient
-    condition there, with the kink tie tolerance, lands on lambda* exactly.
+    nearest kink on the side of the minimum (to 0 if g is affine down to
+    it) and testing the subgradient condition there, with the kink tie
+    tolerance, lands on lambda* exactly.
     Optional screening shrinks the active candidate set using the bracket;
     the first time it leaves at most n + SELECT_SLACK survivors, the next
     trial point is their crossing in the bracket where g is smallest, and a
@@ -295,37 +294,32 @@ def solve_dual_bisection(inst: OneSidedInstance,
     """
     opts = opts or SolveOptions()
     active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
-    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=unit,
-                            active=active, prescreen_pending=opts.screening)
+    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, active=active,
+                            prescreen_pending=opts.screening)
+    lam = unit
     # Bracket width below which a kink step follows each trial; fixed at
     # the first closed bracket.
     big_delta = None
     crossed = not opts.screening  # the batched crossing step runs at most once
-    picked = False  # state.lam is the crossing that step picked
+    picked = False  # lam is the crossing that step picked
 
     while state.iterations < MAX_EVALUATIONS:
-        state.bracket_history.append((state.lambda_min, state.lambda_max))
-        ev = eval_dual(inst, state.lam, state.active, tau=0.0)
+        ev = eval_dual(inst, lam, state.active, tau=0.0)
         state.iterations += 1
         if _optimal(ev):
             if state.prescreen_pending:
                 screen_candidates(state, inst, ev)
-            state.lambda_star, state.evaluation = state.lam, ev
+            state.lambda_star, state.evaluation = lam, ev
             return state
         # g_plus < 0: the minimum lies strictly to the right; else g_minus > 0
         # and it lies strictly to the left.
         forward = ev.g_plus < 0.0
         if picked or (big_delta is not None
                       and state.lambda_max - state.lambda_min < big_delta):
-            if forward:
-                k = kink_right(ev)
-            else:
-                k = kink_left(ev)
-                if k is None and state.lambda_min == 0.0:
-                    k = 0.0  # affine down to the boundary
-            # A kink nearer than half an ulp rounds onto state.lam itself;
-            # the kink tolerance still certifies it there.
-            if k is not None and math.isfinite(k):
+            k = kink_right(ev) if forward else kink_left(ev)
+            # A kink nearer than half an ulp rounds onto lam itself; the
+            # kink tolerance still certifies it there.
+            if math.isfinite(k):
                 ev_k = _eval_at_kink(inst, k, state.active)
                 state.iterations += 1
                 if _optimal(ev_k):
@@ -333,26 +327,25 @@ def solve_dual_bisection(inst: OneSidedInstance,
                     return state
         picked = False
         if forward:
-            state.lambda_min = state.lam
-            if math.isinf(state.lambda_max):
-                # The first trial left the bracket open: settle feasibility,
-                # and drop the pre-screen, whose bracket [0, unit] was wrong.
-                if state.lam == unit:
-                    if _diversity_extreme(inst, largest=False)[0] > inst.b2:
-                        raise InfeasibleError("every assignment's diversity exceeds b2")
-                    if state.prescreen_pending:
-                        state.active, state.prescreen_pending = ActiveSet.full(inst), False
-                state.lam *= 2.0
-                if state.lam > LAMBDA_LIMIT * unit or state.lam == math.inf:
-                    break
-            else:
-                state.lam = 0.5 * (state.lambda_min + state.lambda_max)
+            state.lambda_min = lam
         else:
-            state.lambda_max = state.lam
-            if big_delta is None:
-                big_delta = 1e-2 * (unit + state.lambda_max)
-            state.lam = 0.5 * (state.lambda_min + state.lambda_max)
-        if opts.screening and math.isfinite(state.lambda_max):
+            state.lambda_max = lam
+        if math.isinf(state.lambda_max):
+            # The first trial left the bracket open: settle feasibility,
+            # and drop the pre-screen, whose bracket [0, unit] was wrong.
+            if lam == unit:
+                if _diversity_extreme(inst, largest=False)[0] > inst.b2:
+                    raise InfeasibleError("every assignment's diversity exceeds b2")
+                if state.prescreen_pending:
+                    state.active, state.prescreen_pending = ActiveSet.full(inst), False
+            lam *= 2.0
+            if lam / unit > LAMBDA_LIMIT:  # inf too, once lam overflows
+                break
+            continue
+        if big_delta is None:
+            big_delta = 1e-2 * (unit + state.lambda_max)
+        lam = 0.5 * (state.lambda_min + state.lambda_max)
+        if opts.screening:
             screen_candidates(state, inst, ev)
             if not crossed and state.active.size <= inst.n + SELECT_SLACK:
                 # Inside the bracket only survivors reach the top n, so every
@@ -361,7 +354,7 @@ def solve_dual_bisection(inst: OneSidedInstance,
                 pick = lowest_crossing(inst, state.active,
                                        state.lambda_min, state.lambda_max)
                 if pick is not None:
-                    state.lam, picked = pick, True
+                    lam, picked = pick, True
         if state.lambda_max - state.lambda_min <= BRACKET_FLOOR * unit:
             break
 

@@ -258,6 +258,14 @@ class TestInvalidGeneratorArguments:
         assert out == ""
         assert err.startswith(f"divrank {argv[0]}: ") and err.count("\n") == 1
 
+    def test_bench_leaves_no_csv_when_no_draw_is_accepted(self, tmp_path,
+                                                          capsys):
+        target = tmp_path / "out.csv"
+        assert main(["bench", "--m-list", "1", "--n-list", "1", "--reps", "1",
+                     "--csv", str(target)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("divrank bench: ")
+        assert not target.exists()
+
 
 class TestUnwritableOutput:
     """An output path in a missing directory exits 2, as an unreadable

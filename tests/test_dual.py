@@ -76,13 +76,14 @@ class TestKinkStepping:
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
         assert kink_left(eval_dual(inst, 2.0, act)) == 0.5
 
-    def test_left_of_first_kink_is_none(self):
+    def test_left_of_first_kink_is_zero(self):
+        # g is affine on [0, 0.25]: the step stops at the end of the domain.
         inst, act = make([3, 2, 0], [1, -1, 0], [1], 0.0)
-        assert kink_left(eval_dual(inst, 0.25, act)) is None
+        assert kink_left(eval_dual(inst, 0.25, act)) == 0.0
 
-    def test_constant_diversity_left_none(self):
+    def test_constant_diversity_left_zero(self):
         inst, act = make([3, 2, 0], [0, 0, 0], [1], 0.0)
-        assert kink_left(eval_dual(inst, 5.0, act)) is None
+        assert kink_left(eval_dual(inst, 5.0, act)) == 0.0
 
     def test_kinks_bracket_current_point(self):
         for rep in range(40):
@@ -93,8 +94,7 @@ class TestKinkStepping:
             kr = kink_right(ev)
             kl = kink_left(ev)
             assert kr > lam
-            if kl is not None:
-                assert 0.0 <= kl < lam
+            assert 0.0 <= kl < lam
 
 
 def reference_offsets(ev, active, forward):
@@ -207,9 +207,7 @@ class TestBlockedKinkStep:
         right = reference_offsets(ev, act, True)
         left = reference_offsets(ev, act, False)
         want_right = ev.lam + float(right.min()) if right.size else np.inf
-        want_left = ev.lam - float(left.min()) if left.size else None
-        if want_left is not None and want_left < 0.0:
-            want_left = None
+        want_left = max(ev.lam - float(left.min()) if left.size else 0.0, 0.0)
         top = ev.slots_min.size
         for block in (1, 7, top, 3 * top + 1, 1 << 16):
             with pytest.MonkeyPatch.context() as mp:

@@ -139,6 +139,17 @@ def div_min_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every DualEvaluation the dual search gets from eval_dual, in order:
+    its trials (tau = 0) and kink evaluations (tau > 0)."""
+    evs = []
+    real = solver_module.eval_dual
+    monkeypatch.setattr(solver_module, "eval_dual",
+                        lambda *args, **kw: evs.append(out := real(*args, **kw)) or out)
+    return evs
+
+
 def far_kink_instance():
     """Feasible (objective 0 at candidate 1 alone), but the two score lines
     cross only at lambda* = 2**50, past the doubling limit."""
@@ -311,19 +322,15 @@ class TestFeasibilityInSearch:
                 assert len(div_min_calls) == 1  # the check ran and passed
 
     def test_feasible_solves_make_no_range_pass(self, div_min_calls,
-                                                 monkeypatch):
-        results = []
-        real = solver_module.solve_dual_bisection
-        monkeypatch.setattr(solver_module, "solve_dual_bisection",
-                            lambda *args: results.append(real(*args)) or results[-1])
+                                                 evaluations):
         for rep in range(20):
             inst = gen_synthetic(GenConfig(m=200, n=5, seed=(521, rep)))
             div_min_calls.clear()
+            evaluations.clear()
             sol = solve(inst)
             assert sol.stats.exact
-            history = results[-1].bracket_history
-            # history[1] is the bracket the first trial left.
-            assert len(history) == 1 or math.isfinite(history[1][1])
+            # The first trial closed the bracket or ended the search.
+            assert evaluations[0].g_plus >= 0.0
             assert len(div_min_calls) == 0
         doubled = 0
         for rep in range(100):
@@ -437,15 +444,19 @@ class TestBisection:
         assert res.evaluation.g == pytest.approx(ora.g_star, abs=1e-12)
         assert 0.0 <= res.lambda_star <= 0.5 + 1e-12
 
-    def test_oracle_lambda_always_in_bracket(self):
+    def test_oracle_lambda_always_in_bracket(self, evaluations):
         for rep in range(40):
             inst = gen_synthetic(GenConfig(m=60, n=5, seed=(501, rep)))
             red = reduce_two_sided(inst)
             ora = oracle_dual_breakpoints(red.one_sided)
+            evaluations.clear()
             res = solve_dual_bisection(red.one_sided)
-            for lo, hi in res.bracket_history:
-                assert lo <= ora.lambda_star * (1 + 1e-12) + 1e-12
-                assert ora.lambda_star <= hi * (1 + 1e-12) + 1e-12
+            # Every trial that moved an end of the bracket kept lambda* inside.
+            for ev in evaluations:
+                if ev.tau == 0.0 and ev.g_plus < 0.0:
+                    assert ev.lam <= ora.lambda_star * (1 + 1e-12) + 1e-12
+                if ev.tau == 0.0 and ev.g_minus > 0.0:
+                    assert ora.lambda_star <= ev.lam * (1 + 1e-12) + 1e-12
             assert rel_close(res.lambda_star, ora.lambda_star, 1e-9)
 
     def test_iteration_cap_falls_back_to_bracket(self, monkeypatch):
@@ -462,18 +473,14 @@ class TestBisection:
         assert res.evaluation.tau > 0.0
         assert res.iterations == 1
 
-    def test_runaway_cap_stops_doubling(self, magnitude_calls, monkeypatch):
+    def test_runaway_cap_stops_doubling(self, magnitude_calls, evaluations):
         # b2 below every diversity: g falls forever. The range check after
         # the first trial raises before any doubling.
         one = OneSidedInstance(np.array([1000.0, 0.0]), np.array([1.0, 0.5]),
                                np.array([1.0]), 0.0)
-        evals = []
-        real = solver_module.eval_dual
-        monkeypatch.setattr(solver_module, "eval_dual",
-                            lambda *args, **kw: evals.append(1) or real(*args, **kw))
         with pytest.raises(InfeasibleError, match="diversity exceeds b2"):
             solve_dual_bisection(one)
-        assert len(evals) == 1
+        assert len(evaluations) == 1
         assert len(magnitude_calls) == 0
 
     def test_magnitudes_read_once_per_solve(self, magnitude_calls):
@@ -516,7 +523,7 @@ class TestScreening:
         c = np.array([3.0, 2.0, 0.0])
         a = np.array([1.0, -1.0, 0.0])
         one = OneSidedInstance(c, a, np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.4, lambda_max=0.6, lam=0.5,
+        state = DualSearchState(lambda_min=0.4, lambda_max=0.6,
                                 active=ActiveSet.full(one))
         ev = eval_dual(one, 0.4, state.active)
         assert sort_scores(ev.z, ev.tau, 1).order[:1].tolist() == [0]
@@ -530,7 +537,7 @@ class TestScreening:
         # the witness 0 at 0.75 but stays, since it ties at the cut.
         one = OneSidedInstance(np.array([1.0, 2.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
                                np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.5, lambda_max=0.75, lam=0.625,
+        state = DualSearchState(lambda_min=0.5, lambda_max=0.75,
                                 active=ActiveSet.full(one))
         ev = eval_dual(one, 0.5, state.active)
         ss = sort_scores(ev.z, ev.tau, 1)
@@ -541,7 +548,7 @@ class TestScreening:
     def test_noop_without_finite_upper_bracket(self):
         one = OneSidedInstance(np.array([3.0, 2.0]), np.array([1.0, 0.0]),
                                np.array([1.0]), 0.5)
-        state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, lam=1.0,
+        state = DualSearchState(lambda_min=0.0, lambda_max=np.inf,
                                 active=ActiveSet.full(one))
         ev = eval_dual(one, 0.0, state.active)
         assert screen_candidates(state, one, ev).size == 0
@@ -550,7 +557,7 @@ class TestScreening:
         rng = np.random.default_rng(502)
         c = rng.normal(size=12)
         one = OneSidedInstance(c, np.zeros(12), np.array([1.0, 0.5]), 0.1)
-        state = DualSearchState(lambda_min=0.3, lambda_max=0.9, lam=0.6,
+        state = DualSearchState(lambda_min=0.3, lambda_max=0.9,
                                 active=ActiveSet.full(one))
         top2 = np.argsort(-c, kind="stable")[:2]
         ev = eval_dual(one, 0.9, state.active)
@@ -566,7 +573,7 @@ class TestScreening:
         lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0
         mid = 0.5 * (lo + hi)
         full = ActiveSet.full(one)
-        state = DualSearchState(lambda_min=lo, lambda_max=hi, lam=mid, active=full)
+        state = DualSearchState(lambda_min=lo, lambda_max=hi, active=full)
         dropped = screen_candidates(state, one, eval_dual(one, lo if at_lo else hi, full))
         survivors = state.active.indices
         for lam in (lo, mid, hi):
@@ -653,26 +660,20 @@ class TestPrescreen:
         assert (_global_view(eval_dual(one, 1.0, survivors), survivors)
                 == _global_view(eval_dual(one, 1.0, full), full))
 
-    def test_discard_path_matches_both_oracles(self, monkeypatch):
-        sizes = []
-        real = solver_module.eval_dual
-        monkeypatch.setattr(solver_module, "eval_dual",
-                            lambda one, lam, act, tau=0.0:
-                            sizes.append(act.size) or real(one, lam, act, tau))
+    def test_discard_path_matches_both_oracles(self, evaluations):
         inst = discard_path_instance()
         bf = brute_force_tiny(inst)
         ora = oracle_dual_breakpoints(reduce_two_sided(inst).one_sided)
         for opts in (SolveOptions(), SolveOptions(screening=False)):
-            sizes.clear()
             sol = solve(inst, opts)
             assert sol.stats.exact and sol.lambda_star == 2.0
             assert sol.objective == bf.objective == ora.g_star == 0.5
             assert sol.diversity == 0.75
             assert sol.stats.dropped == 0
         # Screened: one survivor at lambda = 1, then all four at 2.
-        sizes.clear()
+        evaluations.clear()
         solve(inst)
-        assert sizes == [1, 4]
+        assert [ev.active.size for ev in evaluations] == [1, 4]
 
     def test_drops_reported_when_the_first_trial_is_optimal(self):
         inst = first_trial_optimal_instance()
@@ -724,7 +725,7 @@ def screen_reports(monkeypatch):
 
 
 class TestScreenReports:
-    def test_reported_drops_equal_stats(self, screen_reports, monkeypatch):
+    def test_reported_drops_equal_stats(self, screen_reports, evaluations):
         inst = gen_synthetic(GenConfig(m=100_000, n=10, seed=(532, 0)))
         sol = solve(inst)
         assert sol.stats.dropped > 0.99 * inst.m
@@ -737,13 +738,10 @@ class TestScreenReports:
         lo = solver_module._diversity_extreme(inst, largest=False)[0]
         tight = validate_instance(inst.m, inst.n, inst.c, inst.a, inst.w,
                                   lo - 1.0, lo + 1e-3 * (inst.b2 - lo))
-        sizes = []
-        real = solver_module.eval_dual
-        monkeypatch.setattr(solver_module, "eval_dual",
-                            lambda one, lam, act, tau=0.0:
-                            sizes.append(act.size) or real(one, lam, act, tau))
         screen_reports.clear()
+        evaluations.clear()
         sol = solve(tight)
+        sizes = [ev.active.size for ev in evaluations]
         assert sizes[0] < inst.m and sizes[1] == inst.m  # the discard path
         assert sum(screen_reports) == sol.stats.dropped > 0
 
@@ -753,62 +751,65 @@ class TestCrossingStep:
     point; where it finds no crossing the search runs as plain bisection."""
 
     @staticmethod
-    def search(one, monkeypatch, step):
+    def search(one, monkeypatch, evaluations, step):
+        """The search's result, the step's returns, and (lambda, tau) of
+        every evaluation."""
         calls = []
 
         def spy(*args):
             calls.append(step(*args))
             return calls[-1]
 
+        evaluations.clear()
         with monkeypatch.context() as mp:
             mp.setattr(solver_module, "lowest_crossing", spy)
             res = solve_dual_bisection(one)
-        return res, calls
+        return res, calls, [(ev.lam, ev.tau) for ev in evaluations]
 
-    def assert_search_unchanged(self, one, monkeypatch):
-        res, calls = self.search(one, monkeypatch, solver_module.lowest_crossing)
+    def assert_search_unchanged(self, one, monkeypatch, evaluations):
+        res, calls, points = self.search(one, monkeypatch, evaluations,
+                                         solver_module.lowest_crossing)
         assert calls == [None]  # the step ran and found nothing
-        plain, _ = self.search(one, monkeypatch, lambda *args: None)
-        assert res.bracket_history == plain.bracket_history
+        plain, _, plain_points = self.search(one, monkeypatch, evaluations,
+                                             lambda *args: None)
+        assert points == plain_points
         assert res.iterations == plain.iterations
         assert res.lambda_star == plain.lambda_star
-        return res
+        return res, points
 
-    def test_parallel_survivors_leave_search_unchanged(self, monkeypatch):
+    def test_parallel_survivors_leave_search_unchanged(self, monkeypatch,
+                                                        evaluations):
         # Every line has slope -1, so g is affine with slope 1 and lambda* = 0.
         one = OneSidedInstance(np.array([3.0, 2.0, 1.0, 0.5]), np.ones(4),
                                np.array([1.0, 0.5]), 2.5)
-        res = self.assert_search_unchanged(one, monkeypatch)
+        res, _ = self.assert_search_unchanged(one, monkeypatch, evaluations)
         assert res.lambda_star == 0.0
 
-    def test_bracket_without_crossing_leaves_search_unchanged(self, monkeypatch):
+    def test_bracket_without_crossing_leaves_search_unchanged(self, monkeypatch,
+                                                              evaluations):
         # The only crossing is at 1, the first trial point; the bracket
         # (0, 1) it leaves holds none.
         one = OneSidedInstance(np.array([2.0, 0.0]), np.array([1.0, -1.0]),
                                np.array([1.0]), 2.0)
-        res = self.assert_search_unchanged(one, monkeypatch)
-        assert res.bracket_history[1] == (0.0, 1.0)
+        res, points = self.assert_search_unchanged(one, monkeypatch, evaluations)
+        # The first trial, at 1, closed the bracket on the right.
+        assert points[0] == (1.0, 0.0) and evaluations[0].g_minus > 0.0
         assert res.lambda_star == 0.0
 
-    def test_kink_step_from_the_pick(self, monkeypatch):
+    def test_kink_step_from_the_pick(self, monkeypatch, evaluations):
         # The pick's own evaluation sees one side of the kink at lambda*;
         # the kink step from it lands there with the next evaluation.
         inst = gen_synthetic(GenConfig(m=1000, n=10, seed=(512, 47)))
         one = reduce_two_sided(inst).one_sided
-        brackets = []
-        lowest_crossing = solver_module.lowest_crossing
-
-        def step(reduced, active, lo, hi):
-            brackets.append((lo, hi))
-            return lowest_crossing(reduced, active, lo, hi)
-
-        res, picks = self.search(one, monkeypatch, step)
+        res, picks, points = self.search(one, monkeypatch, evaluations,
+                                         solver_module.lowest_crossing)
         assert len(picks) == 1 and picks[0] is not None
         assert res.evaluation.tau > 0.0
         assert res.lambda_star == pytest.approx(picks[0], rel=1e-12)
-        # No bisection step between: the pick was the last trial point.
-        assert res.bracket_history[-1] == brackets[0]
-        assert res.iterations == len(res.bracket_history) + 1
+        # No bisection step between: the pick was the last trial point, and
+        # exactly one kink evaluation followed it.
+        assert points[-2] == (picks[0], 0.0) and points[-1][1] > 0.0
+        assert res.iterations == len(points)
 
     def test_step_is_off_without_screening(self, monkeypatch):
         inst = gen_synthetic(GenConfig(m=200, n=10, seed=511))
