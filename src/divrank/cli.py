@@ -42,8 +42,8 @@ ALG_SCREENING = "screening"
 REL_TOL = 1e-9
 
 
-def _rel_close(x: float, y: float, tol: float = REL_TOL) -> bool:
-    return abs(x - y) <= tol * (1.0 + max(abs(x), abs(y)))
+def _rel_close(x: float, y: float) -> bool:
+    return abs(x - y) <= REL_TOL * (1.0 + max(abs(x), abs(y)))
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -4,7 +4,7 @@ Each candidate draws (a_i, c_i) from a standard bivariate normal with
 cov(a, c) = alpha, realized through the lower-triangular factor
     a_i = e1_i,   c_i = alpha * e1_i + sqrt(1 - alpha^2) * e2_i,
 one (e1, e2) pair per candidate. Bounds are symmetric, b2 = -b1 =
-b_scale * (top diversity), sized so the diversity constraint always binds.
+B_SCALE * (top diversity), sized so the diversity constraint always binds.
 
 Seeds may be ints or tuples of ints; ensembles derive per-instance seeds by
 extending the tuple (e.g. (seed, m, n, rep)), which numpy's SeedSequence
@@ -12,6 +12,7 @@ spreads into independent streams. Regeneration attempts use (seed..., k).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -25,6 +26,8 @@ SeedLike = Union[int, Sequence[int]]
 
 # Draws gen_synthetic makes before it gives up.
 MAX_REGEN = 100
+# The bounds' share of the unconstrained top diversity.
+B_SCALE = 0.8
 
 
 class RegenExhaustedError(RuntimeError):
@@ -48,15 +51,12 @@ class GenConfig:
     n: int
     alpha: float = 0.5
     seed: SeedLike = 0
-    b_scale: float = 0.8
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise ValueError("need 1 <= n <= m")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.b_scale <= 1.0:
-            raise ValueError("b_scale must lie in (0, 1]")
 
 
 def gen_synthetic(config: GenConfig) -> Instance:
@@ -78,7 +78,7 @@ def gen_synthetic(config: GenConfig) -> Instance:
         if top_div <= 0.0:
             nonpositive += 1
             continue
-        b2 = config.b_scale * top_div
+        b2 = B_SCALE * top_div
         inst = validate_instance(config.m, config.n, c, a, w, -b2, b2)
         # Infeasible draws are only possible when near-square and of nearly
         # constant sign.
@@ -96,8 +96,8 @@ def noise_replicate(inst: Instance, level: float = 0.2,
     c' = c + level * (||c|| / ||eps||) * eps with standard normal eps, so
     ||c' - c|| / ||c|| = level by construction. Diversity scores, weights
     and bounds are copied unchanged."""
-    if level <= 0.0:
-        raise ValueError("level must be > 0")
+    if not 0.0 < level < math.inf:
+        raise ValueError("level must be a finite number > 0")
     norm_c = float(np.linalg.norm(inst.c))
     if norm_c == 0.0:
         raise ZeroScoresError("cannot scale noise relative to all-zero scores")

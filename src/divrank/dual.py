@@ -158,7 +158,7 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
     z, a = ev.z, ev.active.a
     z_top, a_top = z[t_idx, None], a[t_idx, None]
     z_min = float(z_top.min())
-    a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())) if a.size else 0.0
+    a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min()))
     z_tol = ev.tau
     rows = max(KINK_BLOCK // t_idx.size, 1)
     best = _INF_BITS

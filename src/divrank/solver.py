@@ -66,18 +66,16 @@ class SolveOptions:
 
 @dataclass
 class DualSearchState:
-    """The dual search's bracket, survivors and counts (the trial point is
-    the search's own). At its end, lambda_star is lambda* and evaluation the
-    evaluation there, or lambda_star is None and evaluation is at the
-    bracket's finite end when the search gave up on exactness."""
+    """The dual search's bracket, survivors, counts and result (the trial
+    point is the search's own). At its end, lambda_star is lambda* and
+    evaluation the evaluation there, or lambda_star is None and evaluation
+    is at the bracket's finite end when the search gave up on exactness."""
 
     lambda_min: float
     lambda_max: float
     active: ActiveSet
     iterations: int = 0
     screen_events: int = 0
-    # The pre-screen's drops await the first trial's verdict on [0, unit].
-    prescreen_pending: bool = False
     lambda_star: Optional[float] = None
     evaluation: Optional[DualEvaluation] = None
 
@@ -216,26 +214,26 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     evaluation at one endpoint, on the bracket's side of it (slots_min at
     the left end, slots_max at the right). There the candidates reaching
     T's minimum, the n-th largest score, are exactly the top set with
-    boundary ties. ev.active is screened into state.active. Drops of the
-    pre-screen (see _prescreen), held back until the first trial confirms
-    its bracket [0, unit], are reported with this call's. Returns every
-    drop reported, as ascending original indices.
+    boundary ties. ev.active is screened into state.active. The
+    pre-screen's drops (see _prescreen) wait for the first trial to confirm
+    its bracket [0, unit]: while no call has reported and ev.active lacks
+    some of the m candidates, a call reports them with its own. Returns
+    every drop reported, as ascending original indices.
     """
     act = ev.active
-    pending, state.prescreen_pending = state.prescreen_pending, False
+    pending = not state.screen_events and act.size < inst.m
     dropped = None
     if math.isfinite(state.lambda_max) and act.size > inst.n:
         left = ev.lam == state.lambda_min  # else ev is at the right end
         other = state.lambda_max if left else state.lambda_min
-        # At lambda = 0 the scores c - 0 * a compare exactly as c does.
-        v = scores(act, other) if other else act.c
-        kept = _reaches_witnesses(ev.z, v, ev.slots_min if left else ev.slots_max)
+        kept = _reaches_witnesses(ev.z, scores(act, other),
+                                  ev.slots_min if left else ev.slots_max)
         keep = kept.nonzero()[0]
         if keep.shape[0] < act.size:
             # Positional indexing beats a boolean mask when many drop.
             dropped = act.indices.take((~kept).nonzero()[0])
             state.active = act.keep(keep)
-    if pending and state.active.size < inst.m:
+    if pending:
         dropped = complement(state.active.indices, inst.m)
     if dropped is None:
         return np.empty(0, dtype=np.intp)
@@ -294,28 +292,26 @@ def solve_dual_bisection(inst: OneSidedInstance,
     """
     opts = opts or SolveOptions()
     active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
-    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, active=active,
-                            prescreen_pending=opts.screening)
+    state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, active=active)
     lam = unit
     # Bracket width below which a kink step follows each trial; fixed at
-    # the first closed bracket.
-    big_delta = None
-    crossed = not opts.screening  # the batched crossing step runs at most once
+    # the first closed bracket, 0 (no step) until then.
+    big_delta = 0.0
+    crossed = False  # the batched crossing step runs at most once
     picked = False  # lam is the crossing that step picked
 
     while state.iterations < MAX_EVALUATIONS:
         ev = eval_dual(inst, lam, state.active, tau=0.0)
         state.iterations += 1
         if _optimal(ev):
-            if state.prescreen_pending:
+            if lam == unit and opts.screening:
                 screen_candidates(state, inst, ev)
             state.lambda_star, state.evaluation = lam, ev
             return state
         # g_plus < 0: the minimum lies strictly to the right; else g_minus > 0
         # and it lies strictly to the left.
         forward = ev.g_plus < 0.0
-        if picked or (big_delta is not None
-                      and state.lambda_max - state.lambda_min < big_delta):
+        if picked or state.lambda_max - state.lambda_min < big_delta:
             k = kink_right(ev) if forward else kink_left(ev)
             # A kink nearer than half an ulp rounds onto lam itself; the
             # kink tolerance still certifies it there.
@@ -336,13 +332,12 @@ def solve_dual_bisection(inst: OneSidedInstance,
             if lam == unit:
                 if _diversity_extreme(inst, largest=False)[0] > inst.b2:
                     raise InfeasibleError("every assignment's diversity exceeds b2")
-                if state.prescreen_pending:
-                    state.active, state.prescreen_pending = ActiveSet.full(inst), False
+                state.active = ActiveSet.full(inst)
             lam *= 2.0
             if lam / unit > LAMBDA_LIMIT:  # inf too, once lam overflows
                 break
             continue
-        if big_delta is None:
+        if not big_delta:
             big_delta = 1e-2 * (unit + state.lambda_max)
         lam = 0.5 * (state.lambda_min + state.lambda_max)
         if opts.screening:
@@ -404,7 +399,6 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     whole call but for wrapping the result in its Solution record, not JSON
     I/O."""
     t0 = time.perf_counter_ns()
-    opts = opts or SolveOptions()
     red = reduce_two_sided(inst)
     one = red.one_sided
     if one is None:

@@ -50,6 +50,21 @@ def random_tiny_instance(key, tie_prone: bool = True) -> Instance | None:
         return None
 
 
+def first_trial_optimal_instance():
+    """lambda* = 1, where candidates 0 and 1 cross; the pre-screen drops
+    candidates 2 and 3, and the first trial is optimal."""
+    return validate_instance(4, 1, [1.0, 0.5, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
+                             [1.0], -5.0, 0.75)
+
+
+def discard_path_instance():
+    """lambda* = 2, where candidates 0 and 1 cross. The pre-screen over
+    [0, 1] keeps only candidate 0, whose diversity 1 exceeds b2 = 0.75, so
+    the first trial at 1 leaves the bracket open."""
+    return validate_instance(4, 1, [1.0, 0.0, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
+                             [1.0], -5.0, 0.75)
+
+
 def random_one_sided_arrays(key, m_max: int = 40, tie_prone: bool = True):
     """Random (c, a, w, n) arrays for dual-function testing."""
     rng = np.random.default_rng(key)

@@ -35,12 +35,6 @@ class TestGenConfig:
             with pytest.raises(ValueError):
                 GenConfig(m=5, n=2, alpha=alpha)
 
-    def test_rejects_bad_b_scale(self):
-        with pytest.raises(ValueError):
-            GenConfig(m=5, n=2, b_scale=0.0)
-        with pytest.raises(ValueError):
-            GenConfig(m=5, n=2, b_scale=1.5)
-
 
 class TestGenSynthetic:
     def test_deterministic_bit_identical(self):
@@ -149,6 +143,11 @@ class TestNoiseReplicate:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             noise_replicate(self.base(), level=0.0)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ValueError, match="level must be a finite number > 0"):
+            noise_replicate(self.base(), level=level)
 
     def test_zero_scores_rejected(self):
         inst = validate_instance(2, 1, [0.0, 0.0], [1.0, -1.0], [1.0], -1.0, 1.0)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tiny_instance, rel_close, strict_weights
+from conftest import (discard_path_instance, first_trial_optimal_instance,
+                      random_tiny_instance, rel_close, strict_weights)
 from divrank.dual import ActiveSet, OneSidedInstance, eval_dual
 from divrank.model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                            STATUS_UPPER_ACTIVE, default_weights,
@@ -613,21 +614,6 @@ def _global_view(ev, active):
             ss.ends.tolist(), ss.unique)
 
 
-def first_trial_optimal_instance():
-    """lambda* = 1, where candidates 0 and 1 cross; the pre-screen drops
-    candidates 2 and 3, and the first trial is optimal."""
-    return validate_instance(4, 1, [1.0, 0.5, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
-                             [1.0], -5.0, 0.75)
-
-
-def discard_path_instance():
-    """lambda* = 2, where candidates 0 and 1 cross. The pre-screen over
-    [0, 1] keeps only candidate 0, whose diversity 1 exceeds b2 = 0.75, so
-    the first trial at 1 leaves the bracket open."""
-    return validate_instance(4, 1, [1.0, 0.0, -1.2, -1.2], [1.0, 0.5, 0.0, 0.0],
-                             [1.0], -5.0, 0.75)
-
-
 class TestPrescreen:
     """Screening over [0, 1] before the first trial at lambda = 1."""
 
@@ -682,6 +668,28 @@ class TestPrescreen:
         assert sol.stats.iterations == 1
         assert sol.objective == brute_force_tiny(inst).objective
         assert sol.stats.dropped_indices.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("outcome", ["optimal", "open", "closed"])
+    def test_prescreen_drops_reported_once(self, outcome, screen_reports,
+                                          evaluations):
+        # The first trial ends the search, leaves the bracket open (the
+        # pre-screen's survivors are discarded), or closes it.
+        inst = {"optimal": first_trial_optimal_instance,
+                "open": discard_path_instance,
+                "closed": lambda: gen_synthetic(GenConfig(m=3000, n=10,
+                                                          seed=(534, 0)))}[outcome]()
+        stats = solve(inst).stats
+        first = evaluations[0]
+        assert stats.exact and first.active.size < inst.m
+        assert sum(screen_reports) == stats.dropped
+        assert sum(1 for k in screen_reports if k) == stats.screen_events
+        if outcome == "optimal":
+            assert stats.iterations == 1
+            assert screen_reports == [2]
+        elif outcome == "open":
+            assert first.g_plus < 0.0 and evaluations[1].active.size == inst.m
+        else:
+            assert first.g_minus > 0.0 and screen_reports[0] > 0
 
     def test_dropped_and_active_partition_the_candidates(self, monkeypatch):
         reports = []
