@@ -134,8 +134,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ok &= _rel_close(sol.objective, ora.g_star)
         if tiny:
             bf = brute_force_tiny(inst)
-            ok &= bf.feasible
-            if bf.feasible:
+            ok &= bf is not None
+            if bf is not None:
                 ok &= _rel_close(sol_scr.objective, bf.objective)
                 ok &= _rel_close(sol_raw.objective, bf.objective)
         if not ok:

@@ -103,8 +103,6 @@ def scores(lines, lam) -> np.ndarray:
 
 def kink_tie_tol(z: np.ndarray) -> float:
     """Absolute tie tolerance used at traced kinks: 1e-9 * max|z|."""
-    if z.size == 0:
-        return 0.0
     return KINK_TIE_RTOL * float(np.abs(z).max())
 
 
@@ -177,8 +175,9 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
             num /= den
             best = min(best, num.view(np.uint64).min())
             del num, den, valid  # freed before the next block allocates
-    # +inf when every valid quotient overflowed, or when there is none.
-    return float(best.view(np.float64)) if best < _INF_BITS else math.inf
+    # +inf when every valid quotient overflowed, or when there is none:
+    # best starts at +inf's bits and only falls.
+    return float(best.view(np.float64))
 
 
 def kink_right(ev: DualEvaluation) -> float:

@@ -4,9 +4,10 @@ The oracles deliberately avoid the production dual/solver code paths: the
 dual is re-evaluated from scratch with plain sorts, the minimizer is located
 on the exhaustive O(m^2) grid of candidate crossing ratios, and tiny
 instances are settled by enumerating every injective assignment and every
-two-assignment mixture. trace_kinks is the exception: it walks g's kinks
-with the production kink step, so that tests can hold that step against
-oracle_kink_set.
+two-assignment mixture, answered with the solver's own PrimalMixture record
+(None when no mixture meets the bounds). trace_kinks is the exception: it
+walks g's kinks with the production kink step, so that tests can hold that
+step against oracle_kink_set.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .dual import (ActiveSet, OneSidedInstance, eval_dual, kink_right,
                    kink_tie_tol, scores)
-from .model import Instance
+from .model import ExtremeAssignment, Instance, PrimalMixture
 
 # Largest m accepted by the breakpoint oracle (the grid is O(m^2)).
 BREAKPOINT_SIZE_CAP = 2000
@@ -175,30 +176,13 @@ def trace_kinks(inst: OneSidedInstance) -> np.ndarray:
                        "scores may be degenerate")
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    feasible: bool
-    objective: Optional[float]
-    rho: float
-    slots1: tuple[int, ...]
-    slots2: tuple[int, ...]
-
-    def support(self) -> set[int]:
-        sup: set[int] = set()
-        if self.rho > 0.0:
-            sup.update(self.slots1)
-        if self.rho < 1.0:
-            sup.update(self.slots2)
-        return sup
-
-
-def brute_force_tiny(inst: Instance) -> BruteForceResult:
+def brute_force_tiny(inst: Instance) -> Optional[PrimalMixture]:
     """Exhaustive optimum over all assignments and two-assignment mixtures.
 
     An optimal solution always exists in that family: the feasible region is
     the polytope cut by two parallel hyperplanes, so some optimal point lies
-    on an edge between two assignment vertices. Reports infeasibility when
-    no mixture meets the bounds.
+    on an edge between two assignment vertices. Returns None when no mixture
+    meets the bounds.
     """
     if inst.m > BRUTE_FORCE_CAP[0] or inst.n > BRUTE_FORCE_CAP[1]:
         raise SizeCapError(f"(m={inst.m}, n={inst.n}) exceeds brute-force cap "
@@ -224,8 +208,7 @@ def brute_force_tiny(inst: Instance) -> BruteForceResult:
     hi = np.minimum(hi, 1.0)
     ok = lo <= hi
     if not np.any(ok):
-        return BruteForceResult(feasible=False, objective=None, rho=1.0,
-                                slots1=(), slots2=())
+        return None
     slope = obj_v[:, None] - obj_v[None, :]
     rho_best = np.where(slope >= 0.0, hi, lo)
     val = obj_v[None, :] + rho_best * slope
@@ -233,13 +216,10 @@ def brute_force_tiny(inst: Instance) -> BruteForceResult:
     flat_idx = int(np.argmax(val))
     i, j = divmod(flat_idx, val.shape[1])
     rho = float(rho_best[i, j])
-    return BruteForceResult(
-        feasible=True,
-        objective=float(val[i, j]),
-        rho=rho,
-        slots1=tuple(int(x) for x in verts[i]),
-        slots2=tuple(int(x) for x in verts[j]),
-    )
+    return PrimalMixture(x1=ExtremeAssignment(tuple(verts[i].tolist())),
+                         x2=ExtremeAssignment(tuple(verts[j].tolist())),
+                         rho=rho, objective=float(val[i, j]),
+                         diversity=float(rho * div_v[i] + (1.0 - rho) * div_v[j]))
 
 
 def oracle_support(inst: OneSidedInstance, lambda_star: float) -> np.ndarray:

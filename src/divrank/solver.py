@@ -218,11 +218,11 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     pre-screen's drops (see _prescreen) wait for the first trial to confirm
     its bracket [0, unit]: while no call has reported and ev.active lacks
     some of the m candidates, a call reports them with its own. Returns
-    every drop reported, as ascending original indices.
+    every drop reported, as ascending original indices (empty for none).
     """
     act = ev.active
     pending = not state.screen_events and act.size < inst.m
-    dropped = None
+    dropped = np.empty(0, dtype=np.intp)
     if math.isfinite(state.lambda_max) and act.size > inst.n:
         left = ev.lam == state.lambda_min  # else ev is at the right end
         other = state.lambda_max if left else state.lambda_min
@@ -235,9 +235,7 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
             state.active = act.keep(keep)
     if pending:
         dropped = complement(state.active.indices, inst.m)
-    if dropped is None:
-        return np.empty(0, dtype=np.intp)
-    state.screen_events += 1
+    state.screen_events += dropped.shape[0] > 0
     return dropped
 
 

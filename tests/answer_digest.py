@@ -8,14 +8,16 @@ output.
 The corpus is gen_synthetic at m in {5, 30, 300, 3000} x n in {3, 10}
 (6 draws each, plus copies with `a` and the bounds mirrored, and copies with
 c times 2**i and `a` and the bounds times 2**j for (i, j) in SCALES, which
-move lambda* far from 1), 300 draws of conftest.random_tiny_instance, and
-the first 40 instances of the rerank_1k and ties_mixed_10k benchmark
-workloads. Every instance is solved with screening on and off, and with
-solver.MAX_EVALUATIONS at its default and at 1, 2, 3 and 5, which forces
-inexact ends. An answer is the repr of every Solution field except
-wall_time_us (dropped_indices included), or the InfeasibleError's message
-and report. The script prints the output count, how many were exact,
-inexact and infeasible, and the digest.
+move lambda* far from 1), 300 draws of conftest.random_tiny_instance, the
+first 40 instances of the rerank_1k and ties_mixed_10k benchmark workloads,
+and gen_synthetic at each (m, n) in LARGE_N, n = m/2 and n = m (2 draws
+each, plus their mirrored copies), placed last so that the earlier answers
+keep their places. Every instance is solved with screening on and
+off, and with solver.MAX_EVALUATIONS at its default and at 1, 2, 3 and 5,
+which forces inexact ends. An answer is the repr of every Solution field
+except wall_time_us (dropped_indices included), or the InfeasibleError's
+message and report. The script prints the output count, how many were
+exact, inexact and infeasible, and the digest.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from divrank.solver import InfeasibleError, SolveOptions, solve  # noqa: E402
 CAPS = (solver_module.MAX_EVALUATIONS, 1, 2, 3, 5)
 OPTIONS = (SolveOptions(), SolveOptions(screening=False))
 SCALES = ((498, -498), (-498, 498), (900, 0), (0, 900))
+LARGE_N = ((30, 15), (30, 30), (300, 150), (300, 300))
 
 
 def mirrored(inst):
@@ -77,6 +80,11 @@ def corpus():
             raw = make(0, k)
             yield validate_instance(raw.m, raw.n, raw.c, raw.a, raw.w,
                                     raw.b1, raw.b2)
+    for m, n in LARGE_N:
+        for k in range(2):
+            inst = gen_synthetic(GenConfig(m=m, n=n, seed=(9200, m, n, k)))
+            yield inst
+            yield mirrored(inst)
 
 
 def answer(inst, opts) -> tuple[str, str]:

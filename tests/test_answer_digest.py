@@ -7,8 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-COUNTS = "outputs 6320: exact 3272, inexact 2048, infeasible 1000"
-SHA256 = "sha256 f8ac3c5b409074417f3a4e590dbabff5bfdc54d69ea8c4d6664b4d06f5280144"
+COUNTS = "outputs 6480: exact 3344, inexact 2136, infeasible 1000"
+SHA256 = "sha256 933e11408b3c75d337fd01c9eb1962dfc52c184210c82b9fec5df0802a9002b9"
 
 
 def test_answers_equal_the_pinned_digest():

@@ -62,8 +62,9 @@ class TestBruteForce:
         inst = validate_instance(3, 1, [3.0, 2.0, 0.0], [1.0, -1.0, 0.0],
                                  [1.0], -0.5, 0.5)
         bf = brute_force_tiny(inst)
-        assert bf.feasible and bf.objective == pytest.approx(2.75, abs=1e-12)
+        assert bf is not None and bf.objective == pytest.approx(2.75, abs=1e-12)
         assert bf.support() <= {0, 1}
+        assert bf.diversity == pytest.approx(0.5, abs=1e-12)
 
     def test_slack_bounds_reach_unconstrained_value(self):
         inst = validate_instance(3, 1, [3.0, 2.0, 0.0], [1.0, -1.0, 0.0],
@@ -74,8 +75,7 @@ class TestBruteForce:
     def test_infeasible_reported(self):
         inst = validate_instance(3, 1, [3.0, 2.0, 0.0], [1.0, -1.0, 0.0],
                                  [1.0], 2.0, 3.0)
-        bf = brute_force_tiny(inst)
-        assert not bf.feasible and bf.objective is None
+        assert brute_force_tiny(inst) is None
 
     def test_size_cap(self):
         inst = validate_instance(8, 1, list(range(8)), [0.0] * 8, [1.0], -1.0, 1.0)
@@ -91,8 +91,10 @@ class TestCrossValidation:
             if inst is None:
                 continue
             bf = brute_force_tiny(inst)
-            if not bf.feasible:
+            if bf is None:
                 continue
+            tol = 1e-9 * (1.0 + abs(inst.b1) + abs(inst.b2))
+            assert inst.b1 - tol <= bf.diversity <= inst.b2 + tol, (rep, bf)
             red = reduce_two_sided(inst)
             if red.one_sided is None:
                 assert rel_close(red.mixture.objective, bf.objective, 1e-9)

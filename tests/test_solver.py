@@ -223,7 +223,7 @@ class TestFeasibilityInSearch:
     def test_far_kink_is_solved_not_refused(self):
         inst = far_kink_instance()
         bf = brute_force_tiny(inst)
-        assert bf.feasible and bf.objective == 0.0
+        assert bf is not None and bf.objective == 0.0
         for opts in (SolveOptions(), SolveOptions(screening=False)):
             sol = solve(inst, opts)
             assert sol.objective == bf.objective
@@ -238,7 +238,7 @@ class TestFeasibilityInSearch:
         for rep in range(400):
             inst = near_parallel_instance((520, rep))
             bf = brute_force_tiny(inst)
-            if not (bf.feasible and precheck_feasibility(inst).feasible):
+            if bf is None or not precheck_feasibility(inst).feasible:
                 continue
             for opts in (SolveOptions(), SolveOptions(screening=False)):
                 sol = solve(inst, opts)
@@ -287,7 +287,7 @@ class TestFeasibilityInSearch:
         inst = validate_instance(5, 3, [1.4, 0.0, -0.3, 0.2, 1.1], a, w,
                                  b2 - 1.0, b2)
         bf = brute_force_tiny(inst)
-        assert bf.slots1 == (3, 4, 1) and bf.rho == 1.0
+        assert bf.x1.slots == (3, 4, 1) and bf.rho == 1.0
         for opts in (SolveOptions(), SolveOptions(screening=False)):
             sol = solve(inst, opts)
             assert not sol.stats.exact and sol.objective < bf.objective
@@ -971,9 +971,9 @@ class TestSolvePipeline:
             try:
                 sol = solve(inst)
             except InfeasibleError:
-                assert not bf.feasible
+                assert bf is None
                 continue
-            assert bf.feasible
+            assert bf is not None
             assert rel_close(sol.objective, bf.objective, 1e-9)
             assert sol.stats.iterations < solver_module.MAX_EVALUATIONS // 4
 
