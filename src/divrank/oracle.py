@@ -66,35 +66,24 @@ def _slope_at(inst: OneSidedInstance, lam: float) -> float:
 
 
 def _candidate_grid(inst: OneSidedInstance) -> np.ndarray:
-    """0 plus every positive pairwise crossing ratio, merged at MERGE_RTOL."""
-    a = inst.a
-    c = inst.c
-    da = a[:, None] - a[None, :]
-    dc = c[:, None] - c[None, :]
-    a_tol = 1e-15 * float(np.max(np.abs(a))) if a.size else 0.0
-    mask = np.abs(da) > a_tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = dc[mask] / da[mask]
-    r = r[np.isfinite(r) & (r > 0.0)]
-    r = np.unique(r)
-    if r.size > 1:
-        keep = np.empty(r.size, dtype=bool)
-        keep[0] = True
-        last = r[0]
-        for i in range(1, r.size):
-            if r[i] - last > MERGE_RTOL * r[i]:
-                keep[i] = True
-                last = r[i]
-            else:
-                keep[i] = False
-        r = r[keep]
+    """0 plus every positive pairwise crossing ratio, merged at MERGE_RTOL.
+
+    Each pair is taken once, with a_i > a_j as in dual.lowest_crossing (the
+    other orientation's quotient has the same bits). A sorted ratio within
+    MERGE_RTOL of the ratio before it, not of the last kept one, is merged:
+    a chain of near-equal ratios keeps only its first, however far it spans."""
+    a, c = inst.a, inst.c
+    da = a[:, None] - a
+    mask = da > 1e-15 * float(np.max(np.abs(a)))
+    r = (c[:, None] - c)[mask] / da[mask]
+    r = np.unique(r[np.isfinite(r) & (r > 0.0)])
+    r = r[np.diff(r, prepend=-np.inf) > MERGE_RTOL * r]
     return np.concatenate(([0.0], r))
 
 
-def _gap_midpoint(grid: np.ndarray, i: int) -> float:
-    if i + 1 < grid.shape[0]:
-        return 0.5 * (grid[i] + grid[i + 1])
-    return grid[i] + 1.0 + grid[i]  # representative of the unbounded tail
+def _gap_midpoints(grid: np.ndarray) -> np.ndarray:
+    """A point inside each gap: gap i follows grid[i], the last is unbounded."""
+    return np.append(0.5 * (grid[:-1] + grid[1:]), grid[-1] + 1.0 + grid[-1])
 
 
 def oracle_dual_breakpoints(inst: OneSidedInstance) -> OracleDualResult:
@@ -109,25 +98,25 @@ def oracle_dual_breakpoints(inst: OneSidedInstance) -> OracleDualResult:
         raise SizeCapError(f"m={inst.m} exceeds the breakpoint oracle cap "
                            f"{BREAKPOINT_SIZE_CAP}")
     grid = _candidate_grid(inst)
-    n_gaps = grid.shape[0]  # gap i follows grid[i]
-    if _slope_at(inst, _gap_midpoint(grid, n_gaps - 1)) < 0.0:
+    mids = _gap_midpoints(grid)
+    if _slope_at(inst, mids[-1]) < 0.0:
         raise UnboundedDualError("g decreases on the final piece; "
                                  "upper bound unattainable")
-    lo, hi = 0, n_gaps - 1
-    if _slope_at(inst, _gap_midpoint(grid, 0)) >= 0.0:
+    lo, hi = 0, grid.shape[0] - 1
+    if _slope_at(inst, mids[0]) >= 0.0:
         first = 0
     else:
         # Invariant: slope(gap lo) < 0 <= slope(gap hi).
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _slope_at(inst, _gap_midpoint(grid, mid)) >= 0.0:
+            if _slope_at(inst, mids[mid]) >= 0.0:
                 hi = mid
             else:
                 lo = mid
         first = hi
     lam_star = float(grid[first])
-    g_minus = None if first == 0 else _slope_at(inst, _gap_midpoint(grid, first - 1))
-    g_plus = _slope_at(inst, _gap_midpoint(grid, first))
+    g_minus = None if first == 0 else _slope_at(inst, mids[first - 1])
+    g_plus = _slope_at(inst, mids[first])
     return OracleDualResult(
         lambda_star=lam_star,
         g_star=_g_value(inst, lam_star),
@@ -145,7 +134,7 @@ def oracle_kink_set(inst: OneSidedInstance) -> np.ndarray:
     if inst.m > KINK_SCAN_CAP:
         raise SizeCapError(f"m={inst.m} exceeds the kink-scan cap {KINK_SCAN_CAP}")
     grid = _candidate_grid(inst)
-    mids = np.array([_gap_midpoint(grid, i) for i in range(grid.shape[0])])
+    mids = _gap_midpoints(grid)
     z = inst.c[None, :] - mids[:, None] * inst.a[None, :]
     idx = np.argsort(-z, axis=1, kind="stable")[:, :inst.n]
     slopes = inst.b2 - inst.a[idx] @ inst.w

@@ -2,7 +2,9 @@
 independent oracles on adversarial instances: scores on coarse grids,
 duplicated (c, a) rows, constant or zero diversity, n = m, b1 = b2 and
 bounds sitting exactly on a vertex diversity. On such inputs many score
-lines are parallel or cross at one point."""
+lines are parallel or cross at one point. A seeded batch of tied draws at
+m = 1000-2000 holds the same checks where full-width evaluations select
+their top n from a sampled threshold instead of sorting every score."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import rel_close
 from divrank.model import STATUS_UNCONSTRAINED, default_weights, validate_instance
 from divrank.oracle import brute_force_tiny, oracle_dual_breakpoints
+from divrank.rank import unconstrained_extremes
 from divrank.solver import (InfeasibleError, SolveOptions,
                             precheck_feasibility, reduce_two_sided, solve)
 
@@ -88,22 +91,57 @@ def _solved(inst):
     return sols
 
 
-def _agrees_with_breakpoint_oracle(inst):
+def tied_instance_at_large_m(seed: int):
+    """m in 1000..2000, n up to 100: Gaussian scores (alpha = 0.5) rounded to
+    coarse grids, so ties straddle the rank-n cut, with a tenth of the rows
+    duplicated. Four draws in five put one bound between the unconstrained
+    optimum's diversity range and the global extreme on its side, so that it
+    binds; the fifth puts b2, or b1 = b2, on a random vertex diversity."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1000, 2001))
+    n = int(rng.integers(1, 101))
+    a_step, c_step = rng.choice((0.125, 0.25, 0.5), size=2)
+    e = rng.standard_normal((m, 2))
+    a = np.round(e[:, 0] / a_step) * a_step
+    c = np.round((0.5 * e[:, 0] + np.sqrt(0.75) * e[:, 1]) / c_step) * c_step
+    dst, src = rng.integers(0, m, size=(2, m // 10))
+    c[dst], a[dst] = c[src], a[src]
+    w = default_weights(n) if seed % 2 else np.arange(n, 0, -1, dtype=np.float64)
+    a_sorted = np.sort(a)
+    div_lo = float(w.dot(a_sorted[:n]))
+    div_hi = float(w.dot(a_sorted[::-1][:n]))
+    top = unconstrained_extremes(c, a, w)
+    u = float(rng.uniform(0.2, 0.8))
+    kind = seed % 5
+    if kind < 2:
+        b1, b2 = div_lo - 1.0, top.min_div - u * (top.min_div - div_lo)
+    elif kind < 4:
+        b1, b2 = top.max_div + u * (div_hi - top.max_div), div_hi + 1.0
+    else:
+        v = float(w.dot(a[rng.permutation(m)[:n]]))
+        b1, b2 = (v, v) if seed % 2 else (div_lo - 1.0, v)
+    return validate_instance(m, n, c, a, w, b1, b2)
+
+
+def _agrees_with_breakpoint_oracle(inst) -> bool:
+    """Checks both solutions; True when the oracle ran, that is when the
+    instance is feasible and its bound binds."""
     sols = _solved(inst)
     if sols is None:
-        return
+        return False
     red = reduce_two_sided(inst)
     if red.one_sided is None:
         best = float(inst.w.dot(np.sort(inst.c)[::-1][:inst.n]))
         for sol in sols:
             assert rel_close(sol.objective, best, 1e-12)
-        return
+        return False
     ora = oracle_dual_breakpoints(red.one_sided)
     for sol in sols:
         assert sol.status != STATUS_UNCONSTRAINED
         assert rel_close(sol.objective, ora.g_star)
         # lambda* may be any point of a flat bottom; g there is the minimum.
         assert rel_close(_g(red.one_sided, sol.lambda_star), ora.g_star)
+    return True
 
 
 @settings(max_examples=500)
@@ -118,6 +156,14 @@ def test_matches_breakpoint_oracle_at_large_n(inst):
     """n = m or any n in 1..m, for m up to 60: top sets as wide as the
     candidate set, where kink steps and crossing steps pair most rows."""
     _agrees_with_breakpoint_oracle(inst)
+
+
+def test_matches_breakpoint_oracle_at_large_m():
+    """30 tied draws at m = 1000-2000. Every draw whose bound is built to
+    bind reaches the dual search, so at least 24 are checked there."""
+    searched = sum(_agrees_with_breakpoint_oracle(tied_instance_at_large_m(seed))
+                   for seed in range(30))
+    assert searched >= 24
 
 
 @settings(max_examples=300)

@@ -4,12 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_tiny_instance, rel_close
+from conftest import random_one_sided_arrays, random_tiny_instance, rel_close
 from divrank.dual import OneSidedInstance
 from divrank.model import validate_instance
-from divrank.oracle import (SizeCapError, UnboundedDualError, brute_force_tiny,
-                            oracle_dual_breakpoints, oracle_kink_set,
-                            oracle_support)
+from divrank.oracle import (MERGE_RTOL, SizeCapError, UnboundedDualError,
+                            brute_force_tiny, oracle_dual_breakpoints,
+                            oracle_kink_set, oracle_support)
 from divrank.solver import InfeasibleError, reduce_two_sided, solve
 
 
@@ -49,6 +49,42 @@ class TestBreakpointOracle:
         # g has slope 0 on [0, 0.5] when b2 = 1; the oracle pins lambda* = 0.
         ora = oracle_dual_breakpoints(one_sided([3, 2, 0], [1, -1, 0], [1], 1.0))
         assert ora.lambda_star == 0.0
+
+    def test_merge_keeps_only_the_first_ratio_of_a_chain(self):
+        # The a = 0 line crosses the others at 1, 1 + 6e-13 and 1 + 1.2e-12:
+        # each within MERGE_RTOL of the ratio before it, while the chain as a
+        # whole spans more than MERGE_RTOL.
+        r = [1.0, 1.0 + 6e-13, 1.0 + 1.2e-12]
+        assert r[2] - r[0] > MERGE_RTOL * r[2]
+        ora = oracle_dual_breakpoints(one_sided([0.0] + r, [0, 1, 1, 1], [1], 0.5))
+        assert ora.breakpoints.tolist() == [0.0, 1.0]
+
+    def test_merge_rule_on_tie_prone_draws(self):
+        """Kept ratios lie more than MERGE_RTOL apart, relative; each dropped
+        ratio lies within MERGE_RTOL of the distinct ratio before it."""
+        dropped = 0
+        for rep in range(60):
+            c, a, w, _ = random_one_sided_arrays((604, rep))
+            # Copies of a few rows, 1-3 ulps higher in c, add near-equal ratios.
+            rng = np.random.default_rng((605, rep))
+            src = rng.integers(0, c.size, size=5)
+            bump = rng.integers(1, 4, size=5) * np.spacing(c[src])
+            c = np.concatenate((c, c[src] + bump))
+            a = np.concatenate((a, a[src]))
+            da = a[:, None] - a
+            pair = da > 1e-15 * np.abs(a).max()
+            ratios = (c[:, None] - c)[pair] / da[pair]
+            ratios = np.unique(ratios[ratios > 0.0])
+            b2 = float(w.sum() * np.abs(a).max()) + 1.0
+            kept = oracle_dual_breakpoints(one_sided(c, a, w, b2)).breakpoints[1:]
+            assert np.all(np.diff(kept) > MERGE_RTOL * kept[1:]), rep
+            is_kept = np.isin(ratios, kept)
+            assert is_kept.sum() == kept.size and (ratios.size == 0 or is_kept[0])
+            gone = np.flatnonzero(~is_kept)
+            assert np.all(ratios[gone] - ratios[gone - 1]
+                          <= MERGE_RTOL * ratios[gone]), rep
+            dropped += gone.size
+        assert dropped >= 1000
 
     def test_kink_scan_cap(self):
         m = 201
