@@ -103,7 +103,7 @@ def scores(lines, lam) -> np.ndarray:
 
 def kink_tie_tol(z: np.ndarray) -> float:
     """Absolute tie tolerance used at traced kinks: 1e-9 * max|z|."""
-    return KINK_TIE_RTOL * float(np.abs(z).max())
+    return KINK_TIE_RTOL * max(float(z.max()), -float(z.min()))
 
 
 def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,

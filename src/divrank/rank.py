@@ -30,8 +30,8 @@ class SortedScores(NamedTuple):
     is exactly what the full sort gives; the last one holds rank n. So
     order is the top-n candidate set with its boundary ties, and the last
     group straddles the cut when it ends past n. The prefix comes from
-    sorting only the scores at or above a threshold, widened until the
-    chain holding rank n ends inside it.
+    sorting only the scores at or above a threshold when the chain holding
+    rank n ends inside them, and from the full sort otherwise.
     """
 
     order: np.ndarray
@@ -46,12 +46,10 @@ class SortedScores(NamedTuple):
         return self.order.shape[0] == self.starts.shape[0]
 
 
-# Selection aims its block at 2k scores, k = n + SELECT_SLACK, and grows k by
-# SELECT_GROWTH while the tie chain holding rank n reaches the block's edge.
+# Selection aims its block at target = 2(n + SELECT_SLACK) scores.
 SELECT_SLACK = 32
-SELECT_GROWTH = 4
 # The threshold is the SAMPLE_RANK-th largest of every step-th score, with
-# step = 2k // SAMPLE_RANK, so about 2k scores lie at or above it.
+# step = target // SAMPLE_RANK, so about target scores lie at or above it.
 SAMPLE_RANK = 4
 
 
@@ -92,40 +90,35 @@ def sort_scores(z: np.ndarray, tau: float, n: int) -> SortedScores:
     SortedScores for what that returns. The block is every score at or
     above a threshold read off a strided sample (O(m)), so nothing outside
     it ties a member, and an exact tie group is never cut at its edge.
-    When the sample misjudges the layout and the block comes out large,
-    the scores strictly above the threshold are searched again if they
-    still hold rank n; otherwise rank n ties the threshold and the whole
-    block belongs to the answer.
+    When the block comes out large, the scores strictly above the threshold
+    are searched again if they still hold rank n; otherwise rank n ties the
+    threshold and the whole block belongs to the answer. When the block
+    misses rank n, or the tie chain (tau > 0) holding rank n reaches its
+    edge, all of z is sorted instead.
     """
     z = np.asarray(z, dtype=np.float64)
     tau = float(tau)
     m = z.shape[0]
     if not 1 <= n <= m:
         raise ValueError(f"n={n} out of range for {m} scores")
-    k = n + SELECT_SLACK
-    # The sample's source: every score, or only those above a threshold
-    # that let in too many.
-    pool = z
-    while 2 * k < m:
-        t = _sampled_threshold(pool, 2 * k)
+    target = 2 * (n + SELECT_SLACK)
+    pool = z  # sampled from; narrowed past a threshold that let in too many
+    while target < m:
+        t = _sampled_threshold(pool, target)
         block = (z >= t).nonzero()[0]
-        if block.shape[0] > SELECT_GROWTH * k:
+        if block.shape[0] > 2 * target:
             above = block[z[block] > t]
             if above.shape[0] >= n:
                 pool = z[above]  # strictly smaller: t itself is gone
                 continue
-        elif block.shape[0] < n:
-            k *= SELECT_GROWTH
-            continue
-        # Ascending indices, so the stable sort breaks ties by index. Scores
-        # outside lie strictly below the block, so at tau = 0 no tie chain
-        # runs past its edge.
-        ss = _grouped(z, block[(-z[block]).argsort(kind="stable")], tau, n,
-                      tau > 0.0 and block.shape[0] < m)
-        if ss is not None:
-            return ss
-        k *= SELECT_GROWTH
-        pool = z
+        if block.shape[0] >= n:
+            # Ascending indices: the stable sort breaks ties by index. At
+            # tau = 0 no chain runs past the block: the rest lie below it.
+            ss = _grouped(z, block[(-z[block]).argsort(kind="stable")], tau,
+                          n, tau > 0.0 and block.shape[0] < m)
+            if ss is not None:
+                return ss
+        break
     return _grouped(z, (-z).argsort(kind="stable"), tau, n, False)
 
 

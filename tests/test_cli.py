@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,8 +14,10 @@ import pytest
 import divrank
 from divrank import cli
 from divrank.cli import (ALG_BISECTION, ALG_SCREENING, EXIT_INFEASIBLE,
-                         EXIT_INVALID, EXIT_OK, REFERENCE_SCREENING_MS,
-                         main, run_benchmark)
+                         EXIT_INVALID, EXIT_MISMATCH, EXIT_OK,
+                         REFERENCE_SCREENING_MS, BenchRow, main,
+                         run_benchmark)
+from divrank.datagen import seed_key
 
 
 def write_instance(path, b1=-0.5, b2=0.5):
@@ -199,6 +202,22 @@ class TestVerifyCommand:
         assert main(["verify", "--count", "0"]) == EXIT_OK
         capsys.readouterr()
 
+    def test_mismatch_exits_1_listing_each_seed(self, capsys, monkeypatch):
+        # An oracle whose lambda* is off by one disagrees with every solve.
+        real = cli.oracle_dual_breakpoints
+
+        def shifted(one):
+            res = real(one)
+            return dataclasses.replace(res, lambda_star=res.lambda_star + 1.0)
+
+        monkeypatch.setattr(cli, "oracle_dual_breakpoints", shifted)
+        assert main(["verify", "--count", "3", "--m", "20", "--n", "3",
+                     "--seed", "5"]) == EXIT_MISMATCH
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("verify: 3/3 instances mismatched")
+        assert lines[1:] == [f"  seed {seed_key(5, 20, 3, rep)}"
+                             for rep in range(3)]
+
 
 class TestBenchCommand:
     def test_csv_shape_and_determinism(self, tmp_path, capsys):
@@ -224,6 +243,11 @@ class TestBenchCommand:
         main(["bench", "--m-list", "100", "--n-list", "10", "--reps", "2"])
         out = capsys.readouterr().out
         assert "reference" in out and "for comparison" in out
+
+    def test_one_rep_has_zero_spread(self):
+        row = BenchRow(m=30, n=3, algorithm=ALG_SCREENING, times_ms=(0.25,))
+        assert row.std_ms == 0.0
+        assert row.mean_ms == row.median_ms == 0.25
 
     def test_run_benchmark_rows(self):
         rows = run_benchmark([30], [3], reps=4, seed=1)
@@ -312,3 +336,9 @@ class TestParser:
     def test_bad_m_list_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "--m-list", "abc"])
+
+    def test_empty_m_list_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--m-list", ","])
+        assert exc.value.code == EXIT_INVALID
+        assert "--m-list: empty list" in capsys.readouterr().err

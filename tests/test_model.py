@@ -146,6 +146,23 @@ class TestValidateInstance:
             validate_instance(**args)
         assert ERR_DIMENSION in err.value.errors
 
+    def test_two_dimensional_scores(self):
+        args = self.valid_args()
+        args["c"] = [[3.0, 2.0, 0.0]]
+        with pytest.raises(ValidationError) as err:
+            validate_instance(**args)
+        assert err.value.errors == [ERR_DIMENSION]
+        assert err.value.messages == ["c must be one-dimensional"]
+
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_sizes_below_one(self, field):
+        args = self.valid_args()
+        args[field] = 0
+        with pytest.raises(ValidationError) as err:
+            validate_instance(**args)
+        assert err.value.errors == [ERR_DIMENSION]
+        assert err.value.messages == [f"{field} must be >= 1"]
+
     def test_collects_every_violation(self):
         args = self.valid_args()
         args["w"] = [1.0, 1.0]
@@ -244,6 +261,12 @@ class TestSerialization:
             parse_instance({"m": 2, "n": 1, "c": [1.0, 0.0], "b1": 0.0, "b2": 1.0})
         assert ERR_DIMENSION in err.value.errors
         assert any("'a'" in msg for msg in err.value.messages)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValidationError) as err:
+            parse_instance([2, 1, [1.0, 0.0], [0.0, 1.0], None, -1.0, 1.0])
+        assert err.value.errors == [ERR_DIMENSION]
+        assert err.value.messages == ["instance document must be a JSON object"]
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

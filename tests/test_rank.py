@@ -130,7 +130,7 @@ class TestSelectionMatchesFullSort:
 
     def test_sample_holding_the_top_scores_widens(self):
         # The top scores sit exactly where the strided sample looks, so the
-        # first threshold leaves fewer than n scores and k must grow.
+        # threshold leaves fewer than n scores and the full sort answers.
         m, n = 20_000, 10
         step = 2 * (n + SELECT_SLACK) // SAMPLE_RANK
         z = np.random.default_rng(313).random(m)
@@ -139,8 +139,8 @@ class TestSelectionMatchesFullSort:
         assert_selection_matches(z, 0.0, n, full_sort_reference(z, 0.0, n))
 
     def test_tau_chain_past_the_threshold_comes_back_whole(self):
-        # Ranks 5..5000 form one chain of gaps 0.9 tau, so every threshold
-        # block cuts it and selection must widen until the chain ends.
+        # Ranks 5..5000 form one chain of gaps 0.9 tau, so the threshold
+        # block cuts it and the full sort answers with the whole chain.
         m, tau = 20_000, 1e-3
         z = np.concatenate(([9.0, 8.0, 7.0, 6.0],
                             5.0 - 0.9 * tau * np.arange(4996),
@@ -157,8 +157,9 @@ class TestSelectionMatchesFullSort:
         assert z[ss.order].tolist() == list(range(99_999, 99_989, -1))
 
     def test_tie_group_far_past_the_block_comes_back_whole(self):
-        # Ranks 5..5000 share one score, so the group holding rank 10 runs
-        # far past the first selected block and the block must widen.
+        # Ranks 5..5000 share one score, so the sampled threshold lands on
+        # it, the block is far too large, and no score above it holds rank
+        # 10: the whole block, group included, is the answer's prefix.
         m = 20_000
         z = np.concatenate(([9.0, 8.0, 7.0, 6.0], np.full(4996, 5.0),
                             np.linspace(4.0, 0.0, m - 5000)))
