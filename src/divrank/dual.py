@@ -107,14 +107,14 @@ def kink_tie_tol(z: np.ndarray) -> float:
 
 
 def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
-              tau: float = 0.0) -> DualEvaluation:
+              tau: float = 0.0, z: np.ndarray | None = None) -> DualEvaluation:
     """g at lam over the active set, unconstrained_extremes of c - lam a plus
     b2 lam, and its one-sided derivatives b2 - max_div and b2 - min_div.
 
     tau widens tie detection; pass 0 except at a traced kink where float
-    noise hides the expected tie.
+    noise hides the expected tie; z, if given, is scores(active, lam).
     """
-    z = scores(active, lam)
+    z = scores(active, lam) if z is None else z
     value, min_div, max_div, slots_min, slots_max = unconstrained_extremes(
         z, active.a, inst.w, tau)
     return DualEvaluation(float(lam), value + inst.b2 * lam, inst.b2 - max_div,

@@ -4,7 +4,9 @@ All maximizers of sum_j w[j] * z[sigma(j)] over injective slot assignments
 share one structure: sort z descending; each tie group occupies a contiguous
 slot block, its members interchangeable within the block, and the group
 straddling the rank-n cut contributes any subset of the right size. The
-helpers here expose that structure and the diversity extremes over it.
+helpers here expose that structure and the diversity extremes over it from
+the top of z only; when none of the n + 1 largest scores ties, the top n is
+the unique optimum and unconstrained_extremes builds no tie groups.
 """
 from __future__ import annotations
 
@@ -29,9 +31,9 @@ class SortedScores(NamedTuple):
     order and values are a prefix of the full sort, and every group in it
     is exactly what the full sort gives; the last one holds rank n. So
     order is the top-n candidate set with its boundary ties, and the last
-    group straddles the cut when it ends past n. The prefix comes from
-    sorting only the scores at or above a threshold when the chain holding
-    rank n ends inside them, and from the full sort otherwise.
+    group straddles the cut when it ends past n. It sorts the scores at or
+    above the n-th (unconstrained_extremes) or a sampled threshold
+    (sort_scores) when the chain holding rank n ends there, else all of z.
     """
 
     order: np.ndarray
@@ -51,6 +53,9 @@ SELECT_SLACK = 32
 # The threshold is the SAMPLE_RANK-th largest of every step-th score, with
 # step = target // SAMPLE_RANK, so about target scores lie at or above it.
 SAMPLE_RANK = 4
+# unconstrained_extremes partitions up to this many scores; above it one call
+# in three tying makes sort_scores' sampled block faster on average.
+PARTITION_CAP = 2048
 
 
 def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int,
@@ -86,15 +91,13 @@ def sort_scores(z: np.ndarray, tau: float, n: int) -> SortedScores:
     """The top of z, sorted descending and split into tie groups at gap >
     tau, through the group holding rank n; n must lie in 1..len(z).
 
-    Only a block of the largest scores a little past rank n is sorted; see
-    SortedScores for what that returns. The block is every score at or
-    above a threshold read off a strided sample (O(m)), so nothing outside
-    it ties a member, and an exact tie group is never cut at its edge.
-    When the block comes out large, the scores strictly above the threshold
-    are searched again if they still hold rank n; otherwise rank n ties the
-    threshold and the whole block belongs to the answer. When the block
-    misses rank n, or the tie chain (tau > 0) holding rank n reaches its
-    edge, all of z is sorted instead.
+    Only the block of scores at or above a threshold read off a strided
+    sample (O(m)) is sorted, so no exact tie group is cut at its edge; see
+    SortedScores. A block that comes out large is searched again above the
+    threshold if that still holds rank n; otherwise rank n ties the
+    threshold and the whole block belongs to the answer. A block missing
+    rank n, or whose tau > 0 chain at rank n reaches its edge, falls back
+    to sorting all of z.
     """
     z = np.asarray(z, dtype=np.float64)
     tau = float(tau)
@@ -125,8 +128,8 @@ def sort_scores(z: np.ndarray, tau: float, n: int) -> SortedScores:
 def extremal_diversity(ss: SortedScores, largest: bool, a: np.ndarray,
                        w: np.ndarray) -> tuple[float, np.ndarray]:
     """Extreme of sum_j w[j] * a[slot j] over all optimal assignments: the
-    largest when `largest`, else the smallest. ss comes from sort_scores
-    with n = len(w), so its last group holds rank n.
+    largest when `largest`, else the smallest. ss is a SortedScores for
+    n = len(w), so its last group holds rank n.
 
     Per tie group the slot block's weights are fixed, so the extreme places
     high-a members on heavy slots (max) or low-a members there (min): one
@@ -137,7 +140,7 @@ def extremal_diversity(ss: SortedScores, largest: bool, a: np.ndarray,
     n = w.shape[0]
     slots = ss.order[:n]
     if not ss.unique:
-        group = np.repeat(np.arange(ss.starts.shape[0]), ss.ends - ss.starts)
+        group = ss.starts.searchsorted(np.arange(ss.order.shape[0]), "right")
         av = a[ss.order]
         slots = ss.order[np.lexsort((-av if largest else av, group))[:n]]
     return float(w.dot(a[slots])), slots
@@ -157,9 +160,35 @@ class UnconstrainedResult(NamedTuple):
 def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray,
                            tau: float = 0.0) -> UnconstrainedResult:
     """Best weighted relevance ignoring the diversity bound, plus the
-    diversity range among the tied optima (scores within tau tie)."""
-    n = w.shape[0]
-    ss = sort_scores(c, tau, n)
+    diversity range among the tied optima (scores within tau tie).
+
+    Up to PARTITION_CAP scores (never NaN) the n + 1 largest come from one
+    argpartition, or from the stable sort where sort_scores sorts all of c;
+    with every gap among them above tau, that top n is the answer. Ties are
+    grouped over that sort, or over the scores at or above the n-th when the
+    cut is clean or tau = 0; other ties and larger sets go to sort_scores.
+    """
+    n, m = w.shape[0], c.shape[0]
+    ss = None
+    if n < m <= PARTITION_CAP:
+        if m <= 2 * (n + SELECT_SLACK):
+            top = (-c).argsort(kind="stable")
+        else:
+            top = c.argpartition(m - n - 1)[m - n - 1:]
+            top = top[(-c[top]).argsort()]  # used as is only if nothing ties
+        values = c[top[:n + 1]]
+        gaps = values[:-1] - values[1:] > tau
+        if np.count_nonzero(gaps) == n:
+            s, div = top[:n], float(w.dot(a[top[:n]]))
+            return UnconstrainedResult(float(w.dot(values[:n])), div, div, s, s)
+        if top.shape[0] == m:  # the full stable sort
+            ss = _grouped(c, top, tau, n, False)
+        elif gaps[-1] or tau == 0.0:
+            block = (c >= values[n - 1]).nonzero()[0]
+            ss = _grouped(c, block[(-c[block]).argsort(kind="stable")], tau,
+                          n, False)
+    if ss is None:
+        ss = sort_scores(c, tau, n)
     value = float(w.dot(ss.values[:n]))
     min_div, slots_min = extremal_diversity(ss, False, a, w)
     max_div, slots_max = ((min_div, slots_min) if ss.unique else

@@ -360,7 +360,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
 def _eval_at_kink(inst: OneSidedInstance, lam: float,
                   active: ActiveSet) -> DualEvaluation:
     """eval_dual at lam with the kink tie tolerance of the scores there."""
-    return eval_dual(inst, lam, active, tau=kink_tie_tol(scores(active, lam)))
+    z = scores(active, lam)
+    return eval_dual(inst, lam, active, tau=kink_tie_tol(z), z=z)
 
 
 def recover_primal(ev: DualEvaluation, inst: OneSidedInstance) -> PrimalMixture:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_weights
-from divrank.rank import (SAMPLE_RANK, SELECT_SLACK, SortedScores,
+from divrank import rank
+from divrank import solver as solver_module
+from divrank.rank import (PARTITION_CAP, SAMPLE_RANK, SELECT_SLACK, SortedScores,
                           extremal_diversity, sort_scores, unconstrained_extremes)
 from divrank.model import validate_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from benchmark.workloads import WORKLOADS  # noqa: E402
 
 
 def groups_of(ss):
@@ -397,3 +404,132 @@ class TestSolveUnconstrained:
             un = unconstrained_extremes(z, rng.normal(size=m), strict_weights(rng, n))
             assert un.min_div == un.max_div
             assert un.slots_min.tolist() == un.slots_max.tolist()
+
+
+def sorted_extremes(c, a, w, tau):
+    """unconstrained_extremes through sort_scores and extremal_diversity
+    alone: the reference every selection branch must reproduce."""
+    ss = sort_scores(c, tau, w.shape[0])
+    value = float(w.dot(ss.values[:w.shape[0]]))
+    (lo, s_lo), (hi, s_hi) = (extremal_diversity(ss, False, a, w),
+                              extremal_diversity(ss, True, a, w))
+    return value, lo, hi, s_lo, s_hi
+
+
+def exact_fields(un):
+    """(value, min_div, max_div, slots_min, slots_max), floats as their bits
+    so that -0.0 and 0.0 differ."""
+    value, lo, hi, s_lo, s_hi = un
+    return (value.hex(), lo.hex(), hi.hex(), s_lo.tolist(), s_hi.tolist())
+
+
+@st.composite
+def top_n_cases(draw):
+    """(c, a, w, tau) at every size the selection branches on: m = n + 1, a
+    set sorted whole (m <= 2(n + SELECT_SLACK)), a partitioned one, and m
+    just below and just above PARTITION_CAP. Scores tie inside the top n, at
+    the cut (several equal scores, or +0.0 against -0.0), chain at tau > 0
+    across the cut, or are all distinct."""
+    n = draw(st.integers(1, 40))
+    size = draw(st.sampled_from(("n+1", "whole", "partitioned", "cap")))
+    if size == "n+1":
+        m = n + 1
+    elif size == "whole":
+        m = draw(st.integers(n + 1, 2 * (n + SELECT_SLACK)))
+    elif size == "partitioned":
+        m = draw(st.integers(2 * (n + SELECT_SLACK) + 1, 600))
+    else:
+        m = PARTITION_CAP + draw(st.integers(-2, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=m)
+    rank_of = np.argsort(-c, kind="stable")  # rank_of[r]: index at rank r
+    kind = draw(st.sampled_from(("distinct", "in_top", "at_cut", "equal",
+                                 "zeros", "chain")))
+    tau = 0.0
+    if kind == "in_top" and n > 1:
+        r = draw(st.integers(0, n - 2))
+        c[rank_of[r + 1]] = c[rank_of[r]]
+    elif kind == "at_cut":
+        # Ranks n - 1 .. n - 1 + k share one score, and k copies of it.
+        k = draw(st.integers(1, min(5, m - n)))
+        c[rank_of[n - 1:n + k]] = c[rank_of[n - 1]]
+    elif kind == "equal":
+        c = np.round(c * draw(st.sampled_from((0.0, 0.5, 2.0))))
+    elif kind == "zeros":
+        # Signed zeros over the top n + 2 ranks' scores: every one ties.
+        top = rank_of[:min(n + 2, m)]
+        c[top] = np.where(rng.random(top.shape[0]) < 0.5, 0.0, -0.0)
+        c[rank_of[min(n + 2, m):]] -= 10.0
+    elif kind == "chain":
+        # A chain of gaps 0.9 tau through rank n - 1, starting at or above it
+        # and ending at or past the cut, over scores 10 + rank apart.
+        tau = 1e-3
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(n, m))
+        c = -10.0 * np.arange(m, dtype=float)
+        c[start:end] = c[start] - 0.9 * tau * np.arange(end - start)
+        c = c[rng.permutation(m)]
+    if draw(st.booleans()) and kind != "chain":
+        tau = draw(st.sampled_from((1e-12, 0.05)))
+    a = np.round(rng.normal(size=m), 1)
+    return c, a, strict_weights(rng, n), tau
+
+
+class TestPartitionedSelection:
+    """unconstrained_extremes' own selection against sort_scores."""
+
+    @settings(max_examples=600)
+    @given(top_n_cases())
+    def test_every_branch_matches_sorted_extremes(self, case):
+        c, a, w, tau = case
+        assert (exact_fields(unconstrained_extremes(c, a, w, tau))
+                == exact_fields(sorted_extremes(c, a, w, tau)))
+
+    @pytest.mark.parametrize("m", [11, 300, PARTITION_CAP])
+    def test_tie_free_calls_build_no_tie_groups(self, m, monkeypatch):
+        rng = np.random.default_rng((320, m))
+        c, a, w = rng.normal(size=m), rng.normal(size=m), strict_weights(rng, 10)
+        want = exact_fields(sorted_extremes(c, a, w, 0.0))
+
+        def refused(*args):
+            raise AssertionError("tie machinery reached")
+
+        for name in ("sort_scores", "_grouped", "extremal_diversity"):
+            monkeypatch.setattr(rank, name, refused)
+        assert exact_fields(unconstrained_extremes(c, a, w)) == want
+
+    def test_above_the_cap_sort_scores_answers(self, monkeypatch):
+        m = PARTITION_CAP + 1
+        rng = np.random.default_rng(321)
+        c, a, w = rng.normal(size=m), rng.normal(size=m), strict_weights(rng, 10)
+        calls = []
+        real = rank.sort_scores
+        monkeypatch.setattr(rank, "sort_scores",
+                            lambda *args: calls.append(args) or real(*args))
+        unconstrained_extremes(c, a, w)
+        assert len(calls) == 1
+
+
+def solution_fields(sol):
+    """Every Solution field, floats as their repr, wall_time_us aside."""
+    st_ = sol.stats
+    survivors = None if st_.survivors is None else st_.survivors.tolist()
+    return (sol.status, repr(sol.lambda_star), repr(sol.mixture),
+            st_.iterations, st_.screen_events, st_.dropped, st_.exact,
+            repr(st_.duality_gap), survivors)
+
+
+@pytest.mark.parametrize("workload", ["rerank_1k", "ties_mixed_10k"])
+def test_solves_match_with_sort_scores_alone(workload, monkeypatch):
+    """With the cap at 0 every selection goes through sort_scores; 100
+    benchmark draws solve to the same fields either way."""
+    spec = WORKLOADS[workload]
+    insts = []
+    for k in range(100):
+        raw = spec.make(4, k)
+        insts.append(validate_instance(raw.m, raw.n, raw.c, raw.a, raw.w,
+                                       raw.b1, raw.b2))
+    fast = [solution_fields(solver_module.solve(i, spec.options)) for i in insts]
+    monkeypatch.setattr(rank, "PARTITION_CAP", 0)
+    assert [solution_fields(solver_module.solve(i, spec.options))
+            for i in insts] == fast
