@@ -22,9 +22,8 @@ from .rank import extremal_diversity, sort_scores, unconstrained_extremes
 PARALLEL_RTOL = 1e-15
 # Relative tie tolerance applied when evaluating at a traced kink.
 KINK_TIE_RTOL = 1e-9
-# Pairs per block of the kink step, laid out (top member, row): 512 KiB per
-# float temporary, two of them and a boolean mask live at once.
-KINK_BLOCK = 1 << 16
+# lowest_crossing scores up to this many crossings in one batch, more in two.
+ONE_BATCH = 64
 # Bit pattern of +inf: as unsigned integers, non-negative floats order below
 # it as their values do, and negative ones and NaNs above it.
 _INF_BITS = np.float64(math.inf).view(np.uint64)
@@ -127,57 +126,38 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
     set on the requested side of ev.lam; +inf when there is none.
 
     That top set is ev's min-diversity assignment going right and its
-    max-diversity one going left: at a boundary tie, the tied members with
-    the smallest slope a stay on top moving right (their scores decay
-    slowest), the largest moving left, and those are the members each
-    extreme gives slots to. Members leaving on that side are excluded so
-    their below-the-cut crossings are not mistaken for kinks.
-
-    A pair (i, j in top set) crosses at offset (z_i - z_j) / (a_i - a_j)
-    going right, or (z_i - z_j) / (a_j - a_i) going left (bit for bit the
-    negated a_i - a_j); only strictly positive offsets matter, i.e.
-    numerator and denominator of the same strict sign. Pairs tied within
-    the evaluation's tau and near-parallel pairs are excluded. Rounding is
-    monotone, so a row with z_i - min z[top] < -tau has every numerator
-    below -tau: its pairs count exactly when the denominator is below
-    -a_tol, and only the few rows at or near the top need the four-way sign
-    test. Each excluded pair's denominator is zeroed, so its quotient is an
-    infinity or a NaN. Read as unsigned integers, those bit patterns and
-    every negative float rank above the non-negative quotients, so one
-    unsigned minimum finds the nearest crossing without gathering pairs.
-
-    The rows are taken in blocks of KINK_BLOCK // |top set| (at least one),
-    laid out (top member, row) so that each operation runs along the rows;
-    the temporaries stay at about KINK_BLOCK pairs for any m, and every
-    pair sees the same float operations in any block, so the minimum does
-    not depend on the block.
+    max-diversity one going left; at a boundary tie the members with the
+    smallest a stay on top moving right, the largest moving left, and the
+    extremes give them the heavier slots. So its slot order is that of the
+    scores just past ev.lam, kept up to the first crossing, which is of two
+    members adjacent in it or of a row with the last slot, the lowest
+    member (not argmin z, which may name another member of a tie). One
+    O(m + n) pass takes those m + n - 1 pairs, a subset of all (row,
+    member) pairs. A pair (i, j) crosses at offset (z_i - z_j) / (a_i -
+    a_j) going right, over the negated denominator going left, if both
+    share a strict sign. Pairs tied within ev.tau, and near-parallel ones,
+    get a zero denominator: as unsigned integers the infinities and NaNs
+    that gives, and negative quotients, rank above the non-negative ones,
+    so one unsigned minimum finds the nearest crossing.
     """
     t_idx = ev.slots_min if forward else ev.slots_max
     z, a = ev.z, ev.active.a
-    z_top, a_top = z[t_idx, None], a[t_idx, None]
-    z_min = float(z_top.min())
-    a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min()))
-    z_tol = ev.tau
-    rows = max(KINK_BLOCK // t_idx.size, 1)
-    best = _INF_BITS
+    m, last, upper, lower = z.shape[0], t_idx[-1], t_idx[:-1], t_idx[1:]
+    num, den = np.empty((2, m + upper.shape[0]))
+    np.subtract(z, z[last], out=num[:m])
+    np.subtract(z[lower], z[upper], out=num[m:])
+    np.subtract(a, a[last], out=den[:m])
+    np.subtract(a[lower], a[upper], out=den[m:])
+    if not forward:
+        np.negative(den, out=den)
+    a_tol, z_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())), ev.tau
+    valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, z.shape[0], rows):
-            zb, ab = z[lo:lo + rows], a[lo:lo + rows]
-            num = zb - z_top
-            den = ab - a_top if forward else a_top - ab
-            valid = den < -a_tol  # the rule for rows below the top set
-            near = (zb - z_min >= -z_tol).nonzero()[0]
-            if near.shape[0]:
-                nn, dn = num[:, near], den[:, near]
-                valid[:, near] = (((nn > z_tol) & (dn > a_tol))
-                                  | ((nn < -z_tol) & (dn < -a_tol)))
-            den *= valid
-            num /= den
-            best = min(best, num.view(np.uint64).min())
-            del num, den, valid  # freed before the next block allocates
-    # +inf when every valid quotient overflowed, or when there is none:
-    # best starts at +inf's bits and only falls.
-    return float(best.view(np.float64))
+        den *= valid
+        num /= den
+    bits = num.view(np.uint64)
+    # +inf when every valid quotient overflowed, or when there is none.
+    return float(min(bits[bits.argmin()], _INF_BITS).view(np.float64))
 
 
 def kink_right(ev: DualEvaluation) -> float:
@@ -208,25 +188,23 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     When every candidate that can reach the top n inside the bracket is
     active, each kink of g there is one of these crossings, so the pick is
     a minimizer of g up to the rounding of the crossing itself. With the K
-    crossings sorted, g is evaluated in one batch at every step-th of them
-    (step = isqrt(K)) and in a second batch at those between the best
-    sample's two neighbours: g is convex, so its minimum over the crossings
-    lies between them. Each batch scores at most 2 sqrt(K) x |active|
-    points, the order of the |active| x |active| pair matrix, since K is
-    below |active|^2 / 2.
+    crossings sorted, g is evaluated in one batch at all of them if K <=
+    ONE_BATCH, else at every isqrt(K)-th and then, g being convex, at those
+    between the best sample's two neighbours. A batch scores at most 2
+    sqrt(K) x |active| points, the order of the |active|^2 pair matrix.
     """
     a, c = active.a, active.c
     da = a[:, None] - a
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = (c[:, None] - c) / da  # inf past the float range
     # One orientation per pair, parallel ones skipped as in the kink step.
-    pair = da > PARALLEL_RTOL * float(np.abs(a).max())
-    with np.errstate(over="ignore"):  # a crossing past the float range is inf
-        lam = (c[:, None] - c)[pair] / da[pair]
-    lam = lam[(lam > lo) & (lam < hi)]
+    inside = (da > PARALLEL_RTOL * float(np.abs(a).max())) & (lam > lo)
+    lam = lam[inside & (lam < hi)]
     if lam.size == 0:
         return None
     lam.sort()
-    step = math.isqrt(lam.size)
-    best = _argmin_g(inst, active, lam[::step]) * step
-    near = lam[max(best - step + 1, 0):best + step]
-    return float(near[_argmin_g(inst, active, near)])
-
+    if lam.size > ONE_BATCH:
+        step = math.isqrt(lam.size)
+        best = _argmin_g(inst, active, lam[::step]) * step
+        lam = lam[max(best - step + 1, 0):best + step]
+    return float(lam[_argmin_g(inst, active, lam)])

@@ -5,8 +5,8 @@ share one structure: sort z descending; each tie group occupies a contiguous
 slot block, its members interchangeable within the block, and the group
 straddling the rank-n cut contributes any subset of the right size. The
 helpers here expose that structure and the diversity extremes over it from
-the top of z only; when none of the n + 1 largest scores ties, the top n is
-the unique optimum and unconstrained_extremes builds no tie groups.
+the top of z only. Up to PARTITION_CAP scores unconstrained_extremes builds
+no tie groups unless the n + 1 largest tie within a tau > 0.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ class SortedScores(NamedTuple):
     order and values are a prefix of the full sort, and every group in it
     is exactly what the full sort gives; the last one holds rank n. So
     order is the top-n candidate set with its boundary ties, and the last
-    group straddles the cut when it ends past n. It sorts the scores at or
-    above the n-th (unconstrained_extremes) or a sampled threshold
-    (sort_scores) when the chain holding rank n ends there, else all of z.
+    group straddles the cut when it ends past n. sort_scores sorts the
+    scores at or above a sampled threshold when the chain holding rank n
+    ends there, else all of z.
     """
 
     order: np.ndarray
@@ -56,6 +56,8 @@ SAMPLE_RANK = 4
 # unconstrained_extremes partitions up to this many scores; above it one call
 # in three tying makes sort_scores' sampled block faster on average.
 PARTITION_CAP = 2048
+# Up to this many it sorts them whole instead: cheaper below 220, for any n.
+SORT_WHOLE = 200
 
 
 def _grouped(z: np.ndarray, order: np.ndarray, tau: float, n: int,
@@ -163,32 +165,36 @@ def unconstrained_extremes(c: np.ndarray, a: np.ndarray, w: np.ndarray,
     diversity range among the tied optima (scores within tau tie).
 
     Up to PARTITION_CAP scores (never NaN) the n + 1 largest come from one
-    argpartition, or from the stable sort where sort_scores sorts all of c;
-    with every gap among them above tau, that top n is the answer. Ties are
-    grouped over that sort, or over the scores at or above the n-th when the
-    cut is clean or tau = 0; other ties and larger sets go to sort_scores.
+    argpartition, or up to SORT_WHOLE from one sort of all of c; with every
+    gap among them above tau, that top n is the answer. At tau = 0 a group
+    is a run of equal scores, so extremal_diversity's order (group, a or
+    -a, index) is that of the scores at or above the n-th by -c, a or -a,
+    index: two lexsorts give both extremes, and the value sums them by -c,
+    index, as sort_scores orders a +0.0 and -0.0 tied at the cut. Ties at
+    tau > 0 and larger sets go to sort_scores.
     """
     n, m = w.shape[0], c.shape[0]
-    ss = None
     if n < m <= PARTITION_CAP:
-        if m <= 2 * (n + SELECT_SLACK):
-            top = (-c).argsort(kind="stable")
+        # Descending; the order of tied scores does not matter below.
+        if m <= SORT_WHOLE:
+            top = c.argsort()[::-1]
         else:
             top = c.argpartition(m - n - 1)[m - n - 1:]
-            top = top[(-c[top]).argsort()]  # used as is only if nothing ties
+            top = top[c[top].argsort()[::-1]]
         values = c[top[:n + 1]]
-        gaps = values[:-1] - values[1:] > tau
-        if np.count_nonzero(gaps) == n:
+        gaps = values[:-1] - values[1:]
+        if gaps[gaps.argmin()] > tau:
             s, div = top[:n], float(w.dot(a[top[:n]]))
             return UnconstrainedResult(float(w.dot(values[:n])), div, div, s, s)
-        if top.shape[0] == m:  # the full stable sort
-            ss = _grouped(c, top, tau, n, False)
-        elif gaps[-1] or tau == 0.0:
+        if tau == 0.0:
             block = (c >= values[n - 1]).nonzero()[0]
-            ss = _grouped(c, block[(-c[block]).argsort(kind="stable")], tau,
-                          n, False)
-    if ss is None:
-        ss = sort_scores(c, tau, n)
+            key, ab = -c[block], a[block]
+            s_min = block[np.lexsort((ab, key))[:n]]
+            s_max = block[np.lexsort((-ab, key))[:n]]
+            top = -np.sort(key, kind="stable")[:n]
+            return UnconstrainedResult(float(w.dot(top)), float(w.dot(a[s_min])),
+                                       float(w.dot(a[s_max])), s_min, s_max)
+    ss = sort_scores(c, tau, n)
     value = float(w.dot(ss.values[:n]))
     min_div, slots_min = extremal_diversity(ss, False, a, w)
     max_div, slots_max = ((min_div, slots_min) if ss.unique else

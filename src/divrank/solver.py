@@ -133,7 +133,7 @@ def _mix_extremes(c: np.ndarray, w: np.ndarray, s1: np.ndarray, s2: np.ndarray,
                          objective=objective, diversity=rho * d1 + (1.0 - rho) * d2)
 
 
-def reduce_two_sided(inst: Instance) -> Reduction:
+def reduce_two_sided(inst: Instance, active: Optional[ActiveSet] = None) -> Reduction:
     """Decide which bound (if any) the optimum presses against.
 
     If every unconstrained optimum exceeds b2, only the upper bound matters
@@ -143,22 +143,28 @@ def reduce_two_sided(inst: Instance) -> Reduction:
     some unconstrained optimum is already feasible and the reduction carries
     the optimal mixture instead; among the tied optima the vertex
     diversities are discrete, so the feasible witness may be a strict
-    mixture of the two diversity extremes.
+    mixture of the two diversity extremes. The unconstrained optimum is
+    selected over active if given: a set, in index order, of every candidate
+    whose c reaches the n-th largest, like _prescreen's survivors.
     """
-    un = unconstrained_extremes(inst.c, inst.a, inst.w)
+    lines = inst if active is None else active
+    un = unconstrained_extremes(lines.c, lines.a, inst.w)
     if un.min_div > inst.b2:
         return Reduction(STATUS_UPPER_ACTIVE, one_sided=OneSidedInstance(
             inst.c, inst.a, inst.w, inst.b2, inst.b1))
     if un.max_div < inst.b1:
         return Reduction(STATUS_LOWER_ACTIVE, one_sided=OneSidedInstance(
             inst.c, -inst.a, inst.w, -inst.b1, -inst.b2))
+    s_min, s_max = un.slots_min, un.slots_max
+    if active is not None:
+        s_min, s_max = active.indices[s_min], active.indices[s_max]
     if un.min_div >= inst.b1:
-        mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_min,
-                               un.min_div, un.min_div, un.min_div)
+        mixture = _mix_extremes(inst.c, inst.w, s_min, s_min, un.min_div,
+                                un.min_div, un.min_div)
         return Reduction(STATUS_UNCONSTRAINED, mixture=mixture)
     # min_div < b1 <= max_div: clamp the mixture to the lower bound.
-    mixture = _mix_extremes(inst.c, inst.w, un.slots_min, un.slots_max,
-                           un.min_div, un.max_div, inst.b1)
+    mixture = _mix_extremes(inst.c, inst.w, s_min, s_max, un.min_div,
+                            un.max_div, inst.b1)
     return Reduction(STATUS_LOWER_ACTIVE, mixture=mixture)
 
 
@@ -169,8 +175,9 @@ def _optimal(ev: DualEvaluation) -> bool:
     return ev.g_minus <= 0.0 <= ev.g_plus
 
 
-def _magnitudes(inst: OneSidedInstance) -> tuple[float, float]:
-    """(max|c|, max|a|), read off each array's extremes."""
+def _magnitudes(inst: Instance) -> tuple[float, float]:
+    """(max|c|, max|a|), read off each array's extremes: the same for
+    either sign of a."""
     return (max(float(inst.c.max()), -float(inst.c.min())),
             max(float(inst.a.max()), -float(inst.a.min())))
 
@@ -190,19 +197,20 @@ def _unit(c_max: float, a_max: float) -> float:
     return math.ldexp(1.0, min(max(k, -1022), 1023))
 
 
-def _reaches_witnesses(z1: np.ndarray, z2: np.ndarray,
+def _reaches_witnesses(z1: np.ndarray, low1: float, z2: np.ndarray,
                        witness: np.ndarray) -> np.ndarray:
     """Screening rule: keep a candidate whose score at either end of the
     bracket, z1 at one and z2 at the other, reaches the witness set's
-    minimum score there.
+    minimum score there; the caller passes the first end's, low1.
 
     It is sound for any witness set T of n candidates: the minimum of their
     score lines is concave, so a candidate strictly below it at both ends
     has n lines above it everywhere inside, stays out of the top n, and
     carries zero weight at the optimum. The witnesses themselves always
     stay, so at least n candidates survive."""
-    kept = z1 >= z1[witness].min()
-    kept |= z2 >= z2[witness].min()
+    low2 = z2[witness]
+    kept = z2 >= low2[low2.argmin()]  # argmin then index: min costs more
+    kept |= z1 >= low1
     return kept
 
 
@@ -213,12 +221,13 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     The rule is _reaches_witnesses' with T the top set of ev, the tau = 0
     evaluation at one endpoint, on the bracket's side of it (slots_min at
     the left end, slots_max at the right). There the candidates reaching
-    T's minimum, the n-th largest score, are exactly the top set with
-    boundary ties. ev.active is screened into state.active. The
-    pre-screen's drops (see _prescreen) wait for the first trial to confirm
-    its bracket [0, unit]: while no call has reported and ev.active lacks
-    some of the m candidates, a call reports them with its own. Returns
-    every drop reported, as ascending original indices (empty for none).
+    T's minimum, the n-th largest score held by the last slot, are exactly
+    the top set with boundary ties; at a far end of 0 the scores are c.
+    ev.active is screened into state.active. The pre-screen's drops (see
+    _prescreen) wait for the first trial to confirm its bracket [0, unit]:
+    while no call has reported and ev.active lacks some of the m
+    candidates, a call reports them with its own. Returns every drop
+    reported, as ascending original indices (empty for none).
     """
     act = ev.active
     pending = not state.screen_events and act.size < inst.m
@@ -226,20 +235,20 @@ def screen_candidates(state: DualSearchState, inst: OneSidedInstance,
     if math.isfinite(state.lambda_max) and act.size > inst.n:
         left = ev.lam == state.lambda_min  # else ev is at the right end
         other = state.lambda_max if left else state.lambda_min
-        kept = _reaches_witnesses(ev.z, scores(act, other),
-                                  ev.slots_min if left else ev.slots_max)
+        witness = ev.slots_min if left else ev.slots_max
+        far = act.c if other == 0.0 else scores(act, other)
+        kept = _reaches_witnesses(ev.z, ev.z[witness[-1]], far, witness)
         keep = kept.nonzero()[0]
         if keep.shape[0] < act.size:
-            # Positional indexing beats a boolean mask when many drop.
-            dropped = act.indices.take((~kept).nonzero()[0])
-            state.active = act.keep(keep)
+            dropped = act.indices[~kept]
+            state.active = act.keep(keep)  # positions beat a boolean mask
     if pending:
         dropped = complement(state.active.indices, inst.m)
     state.screen_events += dropped.shape[0] > 0
     return dropped
 
 
-def _prescreen(inst: OneSidedInstance, unit: float = 1.0) -> ActiveSet:
+def _prescreen(inst: OneSidedInstance | Instance, unit: float = 1.0) -> ActiveSet:
     """Survivors of the screening rule (_reaches_witnesses) over
     [0, unit]. The witnesses are the n candidates whose smaller end score,
     min(c, c - unit a), is largest among every step-th candidate, where
@@ -252,14 +261,14 @@ def _prescreen(inst: OneSidedInstance, unit: float = 1.0) -> ActiveSet:
     step = max(inst.m // max(PRESCREEN_SAMPLE, inst.n), 1)
     q = np.minimum(c[::step], z[::step])
     cut = q.shape[0] - inst.n
-    kept = _reaches_witnesses(c, z, q.argpartition(cut)[cut:] * step)
+    witness = q.argpartition(cut)[cut:] * step
+    kept = _reaches_witnesses(z, z[witness].min(), c, witness)
     keep = kept.nonzero()[0]
     return ActiveSet(keep, c.take(keep), inst.a.take(keep))
 
 
-def solve_dual_bisection(inst: OneSidedInstance,
-                         opts: Optional[SolveOptions] = None,
-                         unit: float = 1.0) -> DualSearchState:
+def solve_dual_bisection(inst: OneSidedInstance, opts: Optional[SolveOptions] = None,
+                         unit: float = 1.0, active: Optional[ActiveSet] = None) -> DualSearchState:
     """Minimize g over lambda >= 0, with lambda measured in units of unit,
     a power of two near lambda* (see _unit).
 
@@ -274,8 +283,9 @@ def solve_dual_bisection(inst: OneSidedInstance,
     trial point is their crossing in the bracket where g is smallest, and a
     kink step from it follows whether or not the bracket is narrow.
     Screening starts before the first trial at lambda = unit, over the
-    provisional bracket [0, unit]; if that trial leaves the bracket open,
-    the survivors are discarded and doubling runs on all m candidates.
+    provisional bracket [0, unit] (_prescreen, or active if given); if that
+    trial leaves the bracket open, its survivors are discarded and doubling
+    runs on all m candidates.
 
     The search decides feasibility: a closed bracket exhibits an assignment
     with diversity at most b2, and with the unconstrained optimum above b2 it
@@ -289,7 +299,8 @@ def solve_dual_bisection(inst: OneSidedInstance,
     and evaluation set.
     """
     opts = opts or SolveOptions()
-    active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
+    if active is None:
+        active = _prescreen(inst, unit) if opts.screening else ActiveSet.full(inst)
     state = DualSearchState(lambda_min=0.0, lambda_max=np.inf, active=active)
     lam = unit
     # Bracket width below which a kink step follows each trial; fixed at
@@ -398,7 +409,12 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
     whole call but for wrapping the result in its Solution record, not JSON
     I/O."""
     t0 = time.perf_counter_ns()
-    red = reduce_two_sided(inst)
+    opts = opts or SolveOptions()
+    c_max, a_max = _magnitudes(inst)
+    unit = _unit(c_max, a_max)
+    # The upper pre-screen keeps the top n of c (see reduce_two_sided).
+    screened = _prescreen(inst, unit) if opts.screening else None
+    red = reduce_two_sided(inst, screened)
     one = red.one_sided
     if one is None:
         stats = SolveStats()
@@ -406,9 +422,9 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Solution:
         return Solution(status=red.status, lambda_star=0.0,
                         mixture=red.mixture, stats=stats)
 
-    c_max, a_max = _magnitudes(one)
+    upper = red.status == STATUS_UPPER_ACTIVE
     try:
-        state = solve_dual_bisection(one, opts, _unit(c_max, a_max))
+        state = solve_dual_bisection(one, opts, unit, screened if upper else None)
     except InfeasibleError:
         pre = precheck_feasibility(inst)
         raise InfeasibleError(

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import strict_weights
 from divrank import rank
 from divrank import solver as solver_module
-from divrank.rank import (PARTITION_CAP, SAMPLE_RANK, SELECT_SLACK, SortedScores,
-                          extremal_diversity, sort_scores, unconstrained_extremes)
+from divrank.rank import (PARTITION_CAP, SAMPLE_RANK, SELECT_SLACK, SORT_WHOLE,
+                          SortedScores, extremal_diversity, sort_scores,
+                          unconstrained_extremes)
 from divrank.model import validate_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -426,7 +427,7 @@ def exact_fields(un):
 @st.composite
 def top_n_cases(draw):
     """(c, a, w, tau) at every size the selection branches on: m = n + 1, a
-    set sorted whole (m <= 2(n + SELECT_SLACK)), a partitioned one, and m
+    set sorted whole (m <= SORT_WHOLE), a partitioned one, and m
     just below and just above PARTITION_CAP. Scores tie inside the top n, at
     the cut (several equal scores, or +0.0 against -0.0), chain at tau > 0
     across the cut, or are all distinct."""
@@ -435,9 +436,9 @@ def top_n_cases(draw):
     if size == "n+1":
         m = n + 1
     elif size == "whole":
-        m = draw(st.integers(n + 1, 2 * (n + SELECT_SLACK)))
+        m = draw(st.integers(n + 1, SORT_WHOLE))
     elif size == "partitioned":
-        m = draw(st.integers(2 * (n + SELECT_SLACK) + 1, 600))
+        m = draw(st.integers(SORT_WHOLE + 1, 600))
     else:
         m = PARTITION_CAP + draw(st.integers(-2, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -485,10 +485,14 @@ class TestBisection:
         assert len(magnitude_calls) == 0
 
     def test_magnitudes_read_once_per_solve(self, magnitude_calls):
-        for rep in range(10):
-            magnitude_calls.clear()
-            sol = solve(gen_synthetic(GenConfig(m=200, n=5, seed=(514, rep))))
-            assert len(magnitude_calls) == (sol.status != STATUS_UNCONSTRAINED)
+        # Before the reduction, so an unconstrained solve reads them too.
+        insts = [gen_synthetic(GenConfig(m=200, n=5, seed=(514, rep)))
+                 for rep in range(10)]
+        for inst in (*insts, running_instance(-2.0, 2.0)):
+            for opts in (SolveOptions(), SolveOptions(screening=False)):
+                magnitude_calls.clear()
+                solve(inst, opts)
+                assert len(magnitude_calls) == 1
 
 
 @st.composite
