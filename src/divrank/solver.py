@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .dual import (ActiveSet, DualEvaluation, OneSidedInstance, eval_dual,
-                   kink_left, kink_right, kink_tie_tol, lowest_crossing, scores)
+                   kink_left, kink_right, kink_tie_tol, lowest_crossing, max_abs,
+                   scores)
 from .model import (STATUS_LOWER_ACTIVE, STATUS_UNCONSTRAINED,
                     STATUS_UPPER_ACTIVE, ExtremeAssignment, Instance,
                     PrimalMixture, Solution, SolveStats, complement)
@@ -178,8 +179,7 @@ def _optimal(ev: DualEvaluation) -> bool:
 def _magnitudes(inst: Instance) -> tuple[float, float]:
     """(max|c|, max|a|), read off each array's extremes: the same for
     either sign of a."""
-    return (max(float(inst.c.max()), -float(inst.c.min())),
-            max(float(inst.a.max()), -float(inst.a.min())))
+    return max_abs(inst.c), max_abs(inst.a)
 
 
 def _unit(c_max: float, a_max: float) -> float:

@@ -11,8 +11,10 @@ c times 2**i and `a` and the bounds times 2**j for (i, j) in SCALES, which
 move lambda* far from 1), 300 draws of conftest.random_tiny_instance, the
 first 40 instances of the rerank_1k and ties_mixed_10k benchmark workloads,
 and gen_synthetic at each (m, n) in LARGE_N, n = m/2 and n = m (2 draws
-each, plus their mirrored copies), placed last so that the earlier answers
-keep their places. Every instance is solved with screening on and
+each, plus their mirrored copies), then gen_synthetic at the bisect_100k
+size, m = 100000 and n = 10 (2 draws, plus their mirrored copies), each
+group placed last when it was added so that the earlier answers keep their
+places. Every instance is solved with screening on and
 off, and with solver.MAX_EVALUATIONS at its default and at 1, 2, 3 and 5,
 which forces inexact ends. An answer is the repr of every Solution field
 except wall_time_us (dropped_indices included), or the InfeasibleError's
@@ -44,6 +46,7 @@ CAPS = (solver_module.MAX_EVALUATIONS, 1, 2, 3, 5)
 OPTIONS = (SolveOptions(), SolveOptions(screening=False))
 SCALES = ((498, -498), (-498, 498), (900, 0), (0, 900))
 LARGE_N = ((30, 15), (30, 30), (300, 150), (300, 300))
+LARGE_M = (100_000, 10)
 
 
 def mirrored(inst):
@@ -85,6 +88,11 @@ def corpus():
             inst = gen_synthetic(GenConfig(m=m, n=n, seed=(9200, m, n, k)))
             yield inst
             yield mirrored(inst)
+    m, n = LARGE_M
+    for k in range(2):
+        inst = gen_synthetic(GenConfig(m=m, n=n, seed=(9300, m, n, k)))
+        yield inst
+        yield mirrored(inst)
 
 
 def answer(inst, opts) -> tuple[str, str]:

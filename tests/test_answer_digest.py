@@ -7,8 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-COUNTS = "outputs 6480: exact 3344, inexact 2136, infeasible 1000"
-SHA256 = "sha256 933e11408b3c75d337fd01c9eb1962dfc52c184210c82b9fec5df0802a9002b9"
+COUNTS = "outputs 6520: exact 3356, inexact 2164, infeasible 1000"
+SHA256 = "sha256 d5bf2d92052685401f8a2eeb8a71e2f7003bb0bb323f77633baf737d8b4a6fd2"
 
 
 def test_answers_equal_the_pinned_digest():

@@ -14,7 +14,8 @@ from conftest import random_one_sided_arrays
 from divrank import SolveOptions, solve, validate_instance
 from divrank.datagen import GenConfig, gen_synthetic
 from divrank.dual import (PARALLEL_RTOL, ActiveSet, OneSidedInstance, eval_dual,
-                          kink_left, kink_right, kink_tie_tol, lowest_crossing)
+                          kink_left, kink_right, kink_tie_tol, lowest_crossing,
+                          scores)
 from divrank.oracle import oracle_dual_breakpoints, oracle_kink_set, trace_kinks
 from divrank.rank import sort_scores, unconstrained_extremes
 
@@ -298,6 +299,196 @@ class TestBlockedKinkStep:
             assert peak < 4 * 2**20, (step.__name__, peak)
 
 
+def one_pass_step(ev, forward):
+    """The kink step as one pass over all m + n - 1 pairs (every row
+    against the last slot, and the adjacent slot pairs), with the step's
+    float operations: the reference for its probe and filter."""
+    t_idx = ev.slots_min if forward else ev.slots_max
+    z, a, last = ev.z, ev.active.a, t_idx[-1]
+    num = np.concatenate((z - z[last], z[t_idx[1:]] - z[t_idx[:-1]]))
+    den = np.concatenate((a - a[last], a[t_idx[1:]] - a[t_idx[:-1]]))
+    if not forward:
+        den = -den
+    a_tol = PARALLEL_RTOL * max(float(a.max()), -float(a.min()))
+    valid = (((num > ev.tau) & (den > a_tol))
+             | ((num < -ev.tau) & (den < -a_tol)))
+    with np.errstate(over="ignore"):
+        offsets = num[valid] / den[valid]
+    return float(offsets.min()) if offsets.size else math.inf
+
+
+def same_bits(x, y):
+    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+
+
+@st.composite
+def probed_step_cases(draw):
+    """(instance, lam, tau, probe size) with m above the probe size: the
+    production size, or a small one that leaves the filter more to do.
+    Lines are Gaussian, on a 0.25 grid (tie chains across the rank-n cut,
+    parallels), or Gaussian with duplicated and near-parallel rows, with c
+    and a each scaled by 2**0 or 2**+-450. Two kinds reach the full pass:
+    "blind", where no probed row can cross the last slot, and "huge",
+    where c near 2**1000 puts t0 * max|a| past the largest float."""
+    probe = draw(st.sampled_from((16, 256, dual.KINK_PROBE)))
+    m = draw(st.integers(probe + 1, probe + 1500))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("gauss", "grid", "near", "blind", "huge")))
+    lam = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5)))
+    if kind == "grid":
+        c = rng.integers(-40, 41, size=m) * 0.25
+        a = rng.integers(-4, 5, size=m) * 0.25
+    else:
+        c, a = rng.normal(size=m), rng.normal(size=m)
+    if kind == "near":
+        src, dst = rng.integers(0, m, size=(2, m // 4))
+        c[dst], a[dst] = c[src], a[src]
+        src, dst = rng.integers(0, m, size=(2, m // 4))
+        tilt = rng.integers(-3, 4, size=m // 4) * (0.5 * PARALLEL_RTOL)
+        c[dst], a[dst] = c[src] + rng.normal(size=m // 4), a[src] + tilt
+    if kind in ("gauss", "grid", "near"):
+        c = np.ldexp(c, draw(st.sampled_from((0, 450, -450))))
+        a = np.ldexp(a, draw(st.sampled_from((0, 450, -450))))
+        i, j = rng.integers(0, m, size=2)
+        if a[i] != a[j] and draw(st.booleans()):
+            lam = abs((c[i] - c[j]) / (a[i] - a[j]))  # a tie between two lines
+    elif kind == "blind":
+        # Every line but a few unprobed risers is flat and so parallel to
+        # the last slot; the risers start below the top n.
+        a[:] = 0.0
+        probed = np.arange(0, m, -(-m // probe))
+        risers = np.setdiff1d(rng.integers(0, m, size=3), probed)
+        a[risers], c[risers] = -1.0, c.min() - 2.0 - rng.random(risers.size)
+    else:  # huge
+        c, a[rng.integers(0, m)] = np.ldexp(c, 1000), 2.0**30
+    inst = OneSidedInstance(c, a, np.linspace(1.0, 0.5, n), 0.0)
+    z = scores(ActiveSet.full(inst), lam)
+    tau = kink_tie_tol(z) if draw(st.booleans()) else 0.0
+    return inst, float(lam), tau, probe
+
+
+def recorded_passes(monkeypatch):
+    """Record the (row count, least offset) of every offset pass."""
+    passes = []
+    least_offset = dual._least_offset
+
+    def record(num, den, *rest):
+        size = num.shape[0]
+        offset = least_offset(num, den, *rest)
+        passes.append((size, offset))
+        return offset
+
+    monkeypatch.setattr(dual, "_least_offset", record)
+    return passes
+
+
+class TestProbedKinkStep:
+    @settings(max_examples=300)
+    @given(probed_step_cases())
+    def test_equals_one_pass_step_bit_for_bit(self, case):
+        inst, lam, tau, probe = case
+        ev = eval_dual(inst, lam, ActiveSet.full(inst), tau=tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dual, "KINK_PROBE", probe)
+            for forward in (True, False):
+                got = dual._nearest_crossing(ev, forward)
+                assert same_bits(got, one_pass_step(ev, forward)), forward
+
+    def test_probe_without_a_crossing_takes_the_full_pass(self, monkeypatch):
+        # Only the unprobed rows 1 and 3 rise, toward the flat last slot.
+        m = 5000
+        c, a = np.minimum(np.linspace(0.0, 2.0, m), 1.0), np.zeros(m)
+        c[1], a[1], c[3], a[3] = -1.0, -1.0, -2.0, -4.0
+        inst, act = make(c, a, [1.0, 0.5], 0.0)
+        ev = eval_dual(inst, 0.0, act)
+        passes = recorded_passes(monkeypatch)
+        assert dual._nearest_crossing(ev, True) == 0.75
+        assert passes[0][1] == math.inf and passes[1][0] == m
+        assert one_pass_step(ev, True) == 0.75
+
+    def test_row_above_the_last_slot_outside_the_top_set(self, monkeypatch):
+        # At tau = 0.01 rows 1, 2 and 4 chain into one tie group, and the
+        # top set going right is row 4 alone (smallest a). Row 1 lies 1.6
+        # tau above it, falls to it first, and at the probe's point t0 = 9
+        # (row 0) lies far below it: only the z_i > z_l test keeps it.
+        tau = 0.01
+        inst, act = make([-8.0, 1.0 + 1.6 * tau, 1.0 + 0.8 * tau, -5.0, 1.0],
+                         [-1.0, 1.0, 0.5, 0.0, 0.0], [1.0], 0.0)
+        ev = eval_dual(inst, 0.0, act, tau=tau)
+        assert ev.slots_min.tolist() == [4]
+        monkeypatch.setattr(dual, "KINK_PROBE", 2)  # probes rows 0 and 3
+        passes = recorded_passes(monkeypatch)
+        got = dual._nearest_crossing(ev, True)
+        assert passes[0][1] == 9.0 and passes[1][0] == 4  # rows 0, 1, 2, 4
+        assert got == (1.0 + 1.6 * tau) - 1.0 == one_pass_step(ev, True)
+
+    def test_slack_keeps_a_row_rounded_below_the_threshold(self, monkeypatch):
+        # Going left from 0.1 several grid lines meet near 0; without the
+        # slack the filter drops the row whose offset rounds an ulp lowest.
+        inst, act = make([-0.75, 0.75, -0.5, 0.25, 0.0, 0.0, -0.75, -0.5, -0.75,
+                          0.0, 0.25, -0.75, 0.0, 0.25],
+                         [0.5, 0.25, 0.5, 0.75, 1.0, 1.0, -0.25, -1.0, 1.0,
+                          -1.0, 1.0, 0.5, 0.5, -1.0], [1.0, 0.75, 0.5], 0.0)
+        ev = eval_dual(inst, 0.1, act)
+        monkeypatch.setattr(dual, "KINK_PROBE", 5)
+        got = dual._nearest_crossing(ev, False)
+        assert got == 0.09999999999999998 == one_pass_step(ev, False)
+
+    def test_threshold_past_the_float_range_takes_the_full_pass(
+            self, monkeypatch):
+        # Going left t0 is finite, but t0 * max|a| is not, nor the slack and
+        # the threshold; the steep unprobed row 1 crosses first.
+        rng = np.random.default_rng(457)
+        m = 5000
+        c, a = np.ldexp(rng.normal(size=m), 1000), np.ldexp(rng.normal(size=m), 12)
+        a[1] = 2.0**60  # slope gaps of the other rows stay above the tolerance
+        inst, act = make(c, a, np.linspace(1.0, 0.5, 4), 0.0)
+        ev = eval_dual(inst, 0.0, act)
+        passes = recorded_passes(monkeypatch)
+        got = dual._nearest_crossing(ev, False)
+        assert math.isfinite(passes[0][1]) and passes[1][0] == m
+        last = ev.slots_max[-1]
+        assert got == (c[1] - c[last]) / -(a[1] - a[last])
+        assert same_bits(got, one_pass_step(ev, False))
+
+    def test_exact_pass_sees_at_most_one_percent_of_rows(self, monkeypatch):
+        # The filter's one comparison on Gaussian lines, and the test of
+        # each row's score at t0 on heavy-tailed slopes: either way a
+        # silent fallback to the full pass fails here.
+        m = 100_000
+        lines = [(inst.c, inst.a) for inst in (
+            gen_synthetic(GenConfig(m=m, n=10, seed=(458, k))) for k in range(3))]
+        rng = np.random.default_rng(459)
+        lines.append((rng.normal(size=m), rng.standard_t(3, size=m)))
+        passes = recorded_passes(monkeypatch)
+        for c, a in lines:
+            inst, act = make(c, a, 1.0 / np.log2(np.arange(2, 12)), 0.0)
+            for lam in (0.05, 0.3, 1.0):
+                ev = eval_dual(inst, lam, act)
+                for forward in (True, False):
+                    passes.clear()
+                    dual._nearest_crossing(ev, forward)
+                    assert len(passes) == 2, passes
+                    assert passes[1][0] <= m // 100, (lam, forward, passes)
+
+    def test_one_step_at_large_m_peaks_below_1_25_mib(self):
+        rng = np.random.default_rng(460)
+        m, n = 100_000, 10
+        for a in (rng.normal(size=m), rng.lognormal(sigma=2.0, size=m)):
+            inst, act = make(rng.normal(size=m), a,
+                             np.linspace(1.0, 0.1, n), 0.0)
+            ev = eval_dual(inst, 0.3, act)
+            for step in (kink_right, kink_left):
+                tracemalloc.start()
+                try:
+                    step(ev)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.25 * 2**20, (step.__name__, peak)
+
+
 def grid_instance(m, seed, upper):
     """Scores on a 0.25 grid, so ties straddle the rank-n cut, with the
     upper bound (upper) or the lower one binding."""
@@ -323,6 +514,7 @@ class TestKinkStepInSolve:
         *(gen_synthetic(GenConfig(m=3000, n=10, seed=(455, k))) for k in range(4)),
         gen_synthetic(GenConfig(m=100_000, n=10, seed=(455, 9))),
         *(grid_instance(3000, (456, k), k % 2 == 0) for k in (0, 2, 3, 7)),
+        pytest.param(grid_instance(100_000, (456, 5), True), id="grid_m100000"),
     ], ids=lambda inst: f"m{inst.m}")
     def test_answers_equal_reference_step_by_repr(self, inst, monkeypatch):
         steps = []
