@@ -10,7 +10,6 @@ top-n assignment.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +24,8 @@ PARALLEL_RTOL = 1e-15
 KINK_TIE_RTOL = 1e-9
 # lowest_crossing scores up to this many crossings in one batch, more in two.
 ONE_BATCH = 64
-# The kink step's probe pairs at most this many rows with the last slot, so
-# smaller sets, gate 7's m = 3000 among them, get the one full pass: the
-# probe and filter pay off only above about 10,000 rows.
+# The kink step probes at most this many rows, so smaller sets (gate 7's
+# m = 3000) get one full pass; the probe pays off above about 10,000 rows.
 KINK_PROBE = 4096
 # Bit pattern of +inf: as unsigned integers, non-negative floats order below
 # it as their values do, and negative ones and NaNs above it.
@@ -161,23 +159,16 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
     - z_j) / (a_i - a_j), the denominator negated going left, if both share
     a strict sign beyond ev.tau and the parallel tolerance.
 
-    The probe takes the adjacent pairs and every ceil(m / KINK_PROBE)-th
-    row against l; its least offset t0 is the answer if that is every row,
-    else a bound on it. The filter keeps each row above l and each whose
-    score at the probe's point, y_i = z_i - s a_i with s = +-t0, reaches
-    y_l - slack, as l's own does. All of them have z_i >= y_l - slack - t0
-    A, A = max|a|, the only test made unless more than KINK_PROBE rows pass
-    it. The answer is the least of t0 and the kept rows' offsets against l.
-
-    That is the full pass's answer, bit for bit: each row whose offset q_i
-    is below t0 is kept. One more than ev.tau above l has z_i > z_l. For
-    one rising from below, q_i = fl(fl(z_i - z_l) / fl(+-(a_i - a_l))) <
-    t0 with t0 normal gives (z_i - z_l) - s (a_i - a_l) >= -6 eps t0 A
-    exactly (eps = 2**-53); forming y_i and y_l - slack, or y_l - slack -
-    t0 A, rounds by at most eps (3|z_l| + 6 t0 A) more. A slack of 16 eps
-    (|z_l| + t0 A) covers both, and the few ulps of the smallest normal
-    lost to underflow. When t0 or the slack is not normal, or y_l - slack
-    is not finite, every row is kept.
+    Above KINK_PROBE rows the adjacent pairs and every ceil(m /
+    KINK_PROBE)-th row against l give a bound t0, and only rows with z_i >=
+    z_l - s a_l - slack - t0 A (s = +-t0, A = max|a|) get offsets against l:
+    each row more than ev.tau above l, and each whose offset q_i is below
+    t0. For those, t0 normal gives (z_i - z_l) - s (a_i - a_l) >= -6 eps t0
+    A exactly (eps = 2**-53), and forming the bound rounds by at most eps
+    (3|z_l| + 6 t0 A) more; a slack of 16 eps (|z_l| + t0 A) covers both
+    and the ulps lost to underflow, so the step returns the full pass's
+    bits. When t0 or the slack is not normal, or the bound is not finite,
+    every row is kept.
     """
     t_idx = ev.slots_min if forward else ev.slots_max
     z, a = ev.z, ev.active.a
@@ -196,16 +187,9 @@ def _nearest_crossing(ev: DualEvaluation, forward: bool) -> float:
         return t0
     z_last, s = float(z[last]), t0 if forward else -t0
     slack = 2.0**-49 * (abs(z_last) + t0 * a_max)  # 16 eps (|z_l| + t0 A)
-    threshold = z_last + float(a[last]) * -s - slack
-    if min(t0, slack) >= sys.float_info.min and math.isfinite(threshold):
-        keep = z >= threshold - t0 * a_max
-        if np.count_nonzero(keep) > KINK_PROBE:
-            with np.errstate(over="ignore"):
-                y = a * -s
-                y += z
-            keep = y >= threshold
-            keep |= z > z_last
-        rows = np.flatnonzero(keep)
+    bound = z_last + float(a[last]) * -s - slack - t0 * a_max
+    if min(t0, slack) >= 2.0**-1022 and math.isfinite(bound):
+        rows = np.flatnonzero(z >= bound)
     else:
         rows = slice(None)
     return min(t0, _least_offset(z[rows] - z_last, a[rows] - a[last], forward,
@@ -250,7 +234,7 @@ def lowest_crossing(inst: OneSidedInstance, active: ActiveSet,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam = (c[:, None] - c) / da  # inf past the float range
     # One orientation per pair, parallel ones skipped as in the kink step.
-    inside = (da > PARALLEL_RTOL * max_abs(a)) & (lam > lo)
+    inside = (da > PARALLEL_RTOL * float(np.abs(a).max())) & (lam > lo)
     lam = lam[inside & (lam < hi)]
     if lam.size == 0:
         return None

